@@ -3,14 +3,12 @@
 // rounds, the solvers end-to-end, k-means, tree-decomposition MWIS, and
 // grid-index radius queries.
 //
-// Three hard gates run before the suite (and can be run alone with
-// --bench=obs / --bench=game / --bench=simd): the observability overhead
-// gate (BENCH_obs.json), the payoff-ledger gate (BENCH_game.json) — which
-// fails the binary unless the ledger Evaluate path does zero steady-state
-// heap allocations and beats the OthersView rebuild path by >= 5x — and
-// the SIMD kernel gate (BENCH_simd.json), which requires the batched
-// AVX2 candidate scan to beat the legacy per-candidate ledger path by
-// >= 2x per Evaluate at |W| >= 256 (report-only on hosts without AVX2).
+// Two hard gates run before the suite (and can be run alone with
+// --bench=obs / --bench=game): the observability overhead gate
+// (BENCH_obs.json) and the best-response gate (BENCH_game.json), which
+// fails the binary unless Evaluate does zero steady-state heap
+// allocations, agrees with a full-scan replica on every worker, and beats
+// that replica by >= 2x per call.
 
 #include <benchmark/benchmark.h>
 
@@ -145,32 +143,6 @@ void BM_FgtSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FgtSolve);
-
-// Serial-vs-parallel best-response scans on the default Table-1-scale
-// instance. Arg(n) = engine threads; items/sec = candidate strategies
-// evaluated (availability + IAU) per second, the engine's throughput
-// metric. Output is bit-identical across all arguments.
-void BM_BestResponseRoundsParallel(benchmark::State& state) {
-  const Instance inst = GmInstance();
-  const VdpsCatalog catalog = VdpsCatalog::Generate(inst, PrunedVdps());
-  FgtConfig config;
-  config.engine.num_threads = static_cast<size_t>(state.range(0));
-  // One pool per thread count for every timed iteration: per-iteration
-  // pool construction would otherwise dominate the small arguments.
-  if (config.engine.num_threads > 1) {
-    config.engine.pool = &bench::SharedBenchPool(config.engine.num_threads);
-  }
-  config.engine.use_incremental_index = false;  // isolate the fan-out
-  uint64_t candidates = 0;
-  for (auto _ : state) {
-    const GameResult result = SolveFgt(inst, catalog, config);
-    candidates += result.engine.strategies_scanned +
-                  result.engine.cache_skips;
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(candidates));
-}
-BENCHMARK(BM_BestResponseRoundsParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // Cold (full availability re-check every turn) vs incremental (inverted
 // index + dirty bits). Arg(0/1) = index off/on. Counter columns show the
@@ -529,41 +501,47 @@ int RunObsOverheadGate() {
   return 0;
 }
 
-// Payoff-ledger gate: proves the tentpole claims of the sorted payoff
-// ledger (game/payoff_ledger.h) on a purpose-built instance that isolates
-// Evaluate's view construction. Workers are strung out along a line away
-// from the distribution center with one delivery point each; since every
-// route starts with the worker-to-center leg, only the center-adjacent
-// worker can meet any deadline, so 255 of 256 workers have an empty
-// catalog and an empty candidate scan. An Evaluate over the 256-worker
-// state is then almost exactly one exclude-one view — the code the ledger
-// replaces. Two hard gates:
+// Best-response gate: Evaluate's window walk (game/best_response.h) against
+// a full-scan replica on an instance built to give the scan plenty to do.
+// Three hard gates, on every host:
 //
-//   1. Zero steady-state heap allocations on the ledger path, counted by
-//      the global operator-new hook above (the rebuild path allocates two
-//      vectors per call).
-//   2. >= 5x Evaluate-path speedup over the OthersView rebuild at
-//      |W| >= 200 (best-of-reps on both sides to shed scheduler noise).
+//   1. Zero steady-state heap allocations per Evaluate, counted by the
+//      global operator-new hook above (the ledger view and the walk reuse
+//      sized-once buffers).
+//   2. The replica and the engine choose the same best response for every
+//      worker (the baseline must be semantically the same rule, not a
+//      strawman).
+//   3. >= 2x per-Evaluate speedup over the replica (best-of-reps on both
+//      sides to shed scheduler noise).
 //
-// On production GM-scale catalogs the candidate scan dilutes the win; the
-// JSON therefore also records a GM-default FGT run's ledger counters so
-// the report shows both the isolated and the end-to-end picture. Results
+// The JSON also records a GM-default FGT run's engine counters so the
+// report shows the production picture next to the isolated one. Results
 // go to BENCH_game.json.
 namespace {
 
-Instance LedgerGateInstance(size_t num_workers) {
+/// |W| workers and 2|W| single-task delivery points scattered near the
+/// distribution center with a deadline no route can miss: every worker's
+/// catalog holds one strategy per point (maxDP = 1), and after the greedy
+/// seeding assignment roughly half the candidates of every Evaluate
+/// survive the availability filter — hundreds of candidates per call
+/// against an exclude-one view of |W| - 1 payoffs.
+Instance GameGateInstance(size_t num_workers) {
+  Rng rng(21);
+  const size_t num_dps = num_workers * 2;
   std::vector<DeliveryPoint> dps;
+  dps.reserve(num_dps);
+  for (size_t i = 0; i < num_dps; ++i) {
+    const Point at{rng.Uniform(-10.0, 10.0), rng.Uniform(-10.0, 10.0)};
+    // Distinct rewards give the ledger |W| distinct payoffs.
+    dps.emplace_back(at, std::vector<SpatialTask>{SpatialTask{
+                             static_cast<uint32_t>(i), 1000.0,
+                             1.0 + 0.001 * static_cast<double>(i)}});
+  }
   std::vector<Worker> workers;
-  dps.reserve(num_workers);
   workers.reserve(num_workers);
   for (size_t i = 0; i < num_workers; ++i) {
-    const double x = static_cast<double>(i) * 1000.0;
-    const double dy = 1.0 + 0.001 * static_cast<double>(i);
-    dps.emplace_back(
-        Point{x, dy},
-        std::vector<SpatialTask>{SpatialTask{static_cast<uint32_t>(i), 5.0,
-                                             1.0}});
-    workers.push_back(Worker{{x, 0.0}, 2});
+    workers.push_back(
+        Worker{{rng.Uniform(-10.0, 10.0), rng.Uniform(-10.0, 10.0)}, 1});
   }
   return Instance(Point{0.0, 0.0}, std::move(dps), std::move(workers),
                   TravelModel(5.0));
@@ -586,203 +564,15 @@ double TimeEvaluateSweeps(BestResponseEngine& engine, size_t num_workers,
   return best;
 }
 
-}  // namespace
-
-int RunGameLedgerGate(size_t num_workers) {
-  const Instance inst = LedgerGateInstance(num_workers);
-  const VdpsCatalog catalog = VdpsCatalog::Generate(inst, VdpsConfig{});
-  const IauParams params;
-
-  // Serial engines: the zero-allocation claim is about the Evaluate path
-  // itself, not the (optional) thread-pool fan-out.
-  BestResponseConfig ledger_config;   // use_payoff_ledger = true (default)
-  BestResponseConfig rebuild_config;
-  rebuild_config.use_payoff_ledger = false;
-
-  JointState ledger_state(inst, catalog);
-  BestResponseEngine ledger_engine(ledger_state, params, ledger_config);
-  JointState rebuild_state(inst, catalog);
-  BestResponseEngine rebuild_engine(rebuild_state, params, rebuild_config);
-  for (size_t w = 0; w < num_workers; ++w) {
-    if (!catalog.strategies(w).empty() && ledger_state.IsAvailable(w, 0)) {
-      ledger_engine.Apply(w, 0);
-      rebuild_engine.Apply(w, 0);
-    }
-  }
-
-  // Warm both paths (first-touch page faults, availability cache), then
-  // count heap allocations across a steady-state sweep of each.
-  constexpr int kSweeps = 20;
-  constexpr int kReps = 5;
-  TimeEvaluateSweeps(ledger_engine, num_workers, 1, 1);
-  TimeEvaluateSweeps(rebuild_engine, num_workers, 1, 1);
-  const uint64_t evaluate_calls =
-      static_cast<uint64_t>(kSweeps) * num_workers;
-
-  uint64_t before = g_heap_allocations.load(std::memory_order_relaxed);
-  TimeEvaluateSweeps(ledger_engine, num_workers, kSweeps, 1);
-  const uint64_t ledger_allocs =
-      g_heap_allocations.load(std::memory_order_relaxed) - before;
-  before = g_heap_allocations.load(std::memory_order_relaxed);
-  TimeEvaluateSweeps(rebuild_engine, num_workers, kSweeps, 1);
-  const uint64_t rebuild_allocs =
-      g_heap_allocations.load(std::memory_order_relaxed) - before;
-
-  const double ledger_seconds =
-      TimeEvaluateSweeps(ledger_engine, num_workers, kSweeps, kReps);
-  const double rebuild_seconds =
-      TimeEvaluateSweeps(rebuild_engine, num_workers, kSweeps, kReps);
-  const double speedup = rebuild_seconds / ledger_seconds;
-
-  constexpr double kSpeedupThreshold = 5.0;
-  const bool zero_alloc_pass = ledger_allocs == 0;
-  const bool speedup_pass = speedup >= kSpeedupThreshold;
-  const bool pass = zero_alloc_pass && speedup_pass;
-
-  // End-to-end context: what the ledger saves on a production-shaped
-  // GM-default FGT solve (candidate scans included).
-  const Instance gm = GmInstance();
-  const VdpsCatalog gm_catalog = VdpsCatalog::Generate(gm, PrunedVdps());
-  const GameResult gm_run = SolveFgt(gm, gm_catalog);
-  const LedgerCounters& gm_ledger = gm_run.engine.ledger;
-
-  obs::JsonWriter json;
-  json.BeginObject();
-  json.Key("bench");
-  json.String("game_ledger");
-  json.Key("meta");
-  bench::AppendBenchMeta(json);
-  json.Key("workload");
-  json.String("chain_single_strategy");
-  json.Key("workers");
-  json.UInt(static_cast<uint64_t>(num_workers));
-  json.Key("evaluate_calls");
-  json.UInt(evaluate_calls);
-  json.Key("ledger");
-  json.BeginObject();
-  json.Key("steady_state_allocations");
-  json.UInt(ledger_allocs);
-  json.Key("seconds");
-  json.Double(ledger_seconds);
-  json.Key("ns_per_evaluate");
-  json.Double(ledger_seconds * 1e9 / static_cast<double>(evaluate_calls));
-  json.EndObject();
-  json.Key("rebuild");
-  json.BeginObject();
-  json.Key("steady_state_allocations");
-  json.UInt(rebuild_allocs);
-  json.Key("seconds");
-  json.Double(rebuild_seconds);
-  json.Key("ns_per_evaluate");
-  json.Double(rebuild_seconds * 1e9 / static_cast<double>(evaluate_calls));
-  json.EndObject();
-  json.Key("speedup");
-  json.Double(speedup);
-  json.Key("speedup_threshold");
-  json.Double(kSpeedupThreshold);
-  json.Key("zero_alloc_pass");
-  json.Bool(zero_alloc_pass);
-  json.Key("speedup_pass");
-  json.Bool(speedup_pass);
-  json.Key("gm_default_fgt_ledger");
-  json.BeginObject();
-  json.Key("sorts_eliminated");
-  json.UInt(gm_ledger.sorts_eliminated);
-  json.Key("bytes_not_allocated");
-  json.UInt(gm_ledger.bytes_not_allocated);
-  json.Key("memmove_elements");
-  json.UInt(gm_ledger.memmove_elements);
-  json.Key("scratch_reuses");
-  json.UInt(gm_ledger.scratch_reuses);
-  json.EndObject();
-  json.Key("pass");
-  json.Bool(pass);
-  json.EndObject();
-  const std::string path = "BENCH_game.json";
-  std::ofstream out(path);
-  out << json.str() << "\n";
-  out.close();
-
-  std::printf(
-      "game ledger gate (|W|=%zu, %llu Evaluates): ledger %.1f ns/call "
-      "(%llu allocs), rebuild %.1f ns/call (%llu allocs) -> %.2fx "
-      "(>= %.1fx and 0 allocs: %s); wrote %s\n",
-      num_workers,
-      static_cast<unsigned long long>(evaluate_calls),
-      ledger_seconds * 1e9 / static_cast<double>(evaluate_calls),
-      static_cast<unsigned long long>(ledger_allocs),
-      rebuild_seconds * 1e9 / static_cast<double>(evaluate_calls),
-      static_cast<unsigned long long>(rebuild_allocs), speedup,
-      kSpeedupThreshold, pass ? "PASS" : "FAIL", path.c_str());
-  if (!pass) {
-    std::fprintf(stderr,
-                 "game ledger gate FAILED: allocations=%llu (need 0), "
-                 "speedup %.2fx (need >= %.1fx)\n",
-                 static_cast<unsigned long long>(ledger_allocs), speedup,
-                 kSpeedupThreshold);
-    return 1;
-  }
-  return 0;
-}
-
-// SIMD kernel gate: proves the tentpole claims of the batched payoff
-// kernels (game/iau_kernels.h, util/simd.h) on a purpose-built instance
-// that exercises the candidate scan the ledger gate's chain instance
-// deliberately empties out. Three hard gates on AVX2 hosts:
-//
-//   1. Zero steady-state heap allocations on the batched Evaluate path
-//      (the gather scratch and rank chunks are sized once).
-//   2. >= 2x per-Evaluate speedup over the legacy per-candidate ledger
-//      path (exclude-one view + one view.Iau per candidate through the
-//      AoS strategy records — the engine's code before the kernel layer,
-//      replicated below so production stays single-path).
-//   3. The replica and the engine choose the same best response for every
-//      worker (the baseline must be semantically the old path, not a
-//      strawman).
-//
-// Without AVX2 the same numbers are measured and written but the speedup
-// is report-only (the scalar batch is the same rank algorithm the legacy
-// path runs, just batched). Results go to BENCH_simd.json.
-namespace {
-
-/// |W| workers and 2|W| single-task delivery points scattered near the
-/// distribution center with a deadline no route can miss: every worker's
-/// catalog holds one strategy per point (maxDP = 1), and after the greedy
-/// seeding assignment roughly half the candidates of every Evaluate
-/// survive the availability filter — hundreds of kernel lanes per call
-/// against an exclude-one view of |W| - 1 payoffs, the shape the batched
-/// kernels target.
-Instance SimdGateInstance(size_t num_workers) {
-  Rng rng(21);
-  const size_t num_dps = num_workers * 2;
-  std::vector<DeliveryPoint> dps;
-  dps.reserve(num_dps);
-  for (size_t i = 0; i < num_dps; ++i) {
-    const Point at{rng.Uniform(-10.0, 10.0), rng.Uniform(-10.0, 10.0)};
-    // Distinct rewards give the ledger |W| distinct payoffs.
-    dps.emplace_back(at, std::vector<SpatialTask>{SpatialTask{
-                             static_cast<uint32_t>(i), 1000.0,
-                             1.0 + 0.001 * static_cast<double>(i)}});
-  }
-  std::vector<Worker> workers;
-  workers.reserve(num_workers);
-  for (size_t i = 0; i < num_workers; ++i) {
-    workers.push_back(
-        Worker{{rng.Uniform(-10.0, 10.0), rng.Uniform(-10.0, 10.0)}, 1});
-  }
-  return Instance(Point{0.0, 0.0}, std::move(dps), std::move(workers),
-                  TravelModel(5.0));
-}
-
-/// Replica of the engine's pre-batching Evaluate inner loop: one
-/// exclude-one view per call, then a view.Iau (lower_bound + the sorted
-/// expression tree) per available candidate, payoffs read through the AoS
-/// strategy records. `avail` stands in for the engine's incremental
-/// availability index (the legacy path ran with it too — both sides pay
-/// one cached byte per candidate, so the timing difference is the kernel
-/// work, not availability checking). Semantically the engine's old path —
-/// Better()'s (utility desc, index asc) fold over the same null-first
-/// candidate order — kept in the bench so the library stays single-path.
+/// Replica of the full per-candidate scan (Evaluate before the window
+/// walk): one exclude-one view per call, then a view.Iau per available
+/// candidate, payoffs read through the AoS strategy records. `avail`
+/// stands in for the engine's incremental availability index — both
+/// sides pay one cached byte per availability answer, so the timing
+/// difference is the candidates scored, not availability checking.
+/// Semantically Equation 10: Better()'s (utility desc, index asc) fold over
+/// the same null-first candidate order — kept in the bench so the library
+/// stays single-path.
 int32_t LegacyBestResponse(const JointState& state, PayoffLedger& ledger,
                            const std::vector<uint8_t>& avail, size_t w,
                            const IauParams& params) {
@@ -816,8 +606,8 @@ int32_t LegacyBestResponse(const JointState& state, PayoffLedger& ledger,
   return current;
 }
 
-/// Seconds for `sweeps` legacy-replica sweeps over all workers, best of
-/// `reps` — the counterpart of TimeEvaluateSweeps for the baseline.
+/// Seconds for `sweeps` replica sweeps over all workers, best of `reps` —
+/// the counterpart of TimeEvaluateSweeps for the baseline.
 double TimeLegacySweeps(const JointState& state, PayoffLedger& ledger,
                         const std::vector<std::vector<uint8_t>>& avail,
                         const IauParams& params, size_t num_workers,
@@ -838,25 +628,18 @@ double TimeLegacySweeps(const JointState& state, PayoffLedger& ledger,
 
 }  // namespace
 
-int RunSimdKernelGate(size_t num_workers) {
-  const simd::SimdMode entry_mode = simd::ActiveSimdMode();
-  const bool avx2 = simd::CpuSupportsAvx2();
-
-  const Instance inst = SimdGateInstance(num_workers);
+int RunGameGate(size_t num_workers) {
+  const Instance inst = GameGateInstance(num_workers);
   VdpsConfig vdps;
   vdps.max_set_size = 1;
   const VdpsCatalog catalog = VdpsCatalog::Generate(inst, vdps);
 
   const IauParams params;
-  // Serial engine in the production configuration (incremental
-  // availability index on); the legacy replica gets a precomputed bitmap
-  // of the same availability answers, so both sides pay one cached byte
-  // per candidate — raw IsAvailable chases the AoS strategy record plus
-  // the entry's point list, cache misses that would drown the kernel
-  // signal on both sides equally.
-  BestResponseConfig config;
+  // Engine in the production configuration (incremental availability
+  // index on); the replica gets a precomputed bitmap of the same
+  // availability answers.
   JointState state(inst, catalog);
-  BestResponseEngine engine(state, params, config);
+  BestResponseEngine engine(state, params);
   for (size_t w = 0; w < num_workers; ++w) {
     const size_t n = catalog.strategies(w).size();
     for (size_t i = 0; i < n; ++i) {
@@ -878,7 +661,7 @@ int RunSimdKernelGate(size_t num_workers) {
     }
   }
 
-  // Gate 3 first: the baseline's choices must match the engine's before
+  // Gate 2 first: the baseline's choices must match the engine's before
   // its timing means anything.
   bool replica_agrees = true;
   for (size_t w = 0; w < num_workers; ++w) {
@@ -888,14 +671,17 @@ int RunSimdKernelGate(size_t num_workers) {
     }
   }
 
-  // Lanes per Evaluate, from the engine's own batch counters.
+  // Availability answers per Evaluate, from the engine's own counters:
+  // how far down the strategy list the walk went.
   const BestResponseCounters sweep_before = engine.counters();
   for (size_t w = 0; w < num_workers; ++w) {
     benchmark::DoNotOptimize(engine.Evaluate(w));
   }
   const BestResponseCounters sweep_after = engine.counters();
-  const double lanes_per_evaluate =
-      static_cast<double>(sweep_after.simd_lanes - sweep_before.simd_lanes) /
+  const double checks_per_evaluate =
+      static_cast<double>(
+          (sweep_after.strategies_scanned + sweep_after.cache_skips) -
+          (sweep_before.strategies_scanned + sweep_before.cache_skips)) /
       static_cast<double>(num_workers);
 
   constexpr int kSweeps = 10;
@@ -903,44 +689,36 @@ int RunSimdKernelGate(size_t num_workers) {
   const uint64_t evaluate_calls =
       static_cast<uint64_t>(kSweeps) * num_workers;
 
-  // Steady-state allocation count on the dispatch mode the speedup claim
-  // is about (AVX2 where available), after a warm-up sweep of each side.
-  if (avx2) simd::SetSimdMode(simd::SimdMode::kAvx2);
+  // Steady-state allocation count after a warm-up sweep of each side.
   TimeEvaluateSweeps(engine, num_workers, 1, 1);
-  TimeLegacySweeps(state, legacy_ledger, avail, params, num_workers, 1,
-                  1);
-  const uint64_t before =
-      g_heap_allocations.load(std::memory_order_relaxed);
+  TimeLegacySweeps(state, legacy_ledger, avail, params, num_workers, 1, 1);
+  const uint64_t before = g_heap_allocations.load(std::memory_order_relaxed);
   TimeEvaluateSweeps(engine, num_workers, kSweeps, 1);
   const uint64_t engine_allocs =
       g_heap_allocations.load(std::memory_order_relaxed) - before;
 
-  double avx2_seconds = 0.0;
-  if (avx2) {
-    avx2_seconds = TimeEvaluateSweeps(engine, num_workers, kSweeps, kReps);
-  }
-  simd::SetSimdMode(simd::SimdMode::kScalar);
-  const double scalar_seconds =
+  const double walk_seconds =
       TimeEvaluateSweeps(engine, num_workers, kSweeps, kReps);
-  simd::SetSimdMode(entry_mode);
   const double legacy_seconds = TimeLegacySweeps(
       state, legacy_ledger, avail, params, num_workers, kSweeps, kReps);
-
-  const double active_seconds = avx2 ? avx2_seconds : scalar_seconds;
-  const double speedup = legacy_seconds / active_seconds;
-  const double speedup_scalar = legacy_seconds / scalar_seconds;
+  const double speedup = legacy_seconds / walk_seconds;
 
   constexpr double kSpeedupThreshold = 2.0;
   const bool zero_alloc_pass = engine_allocs == 0;
-  const bool report_only = !avx2;
-  const bool speedup_pass = report_only || speedup >= kSpeedupThreshold;
+  const bool speedup_pass = speedup >= kSpeedupThreshold;
   const bool pass = zero_alloc_pass && replica_agrees && speedup_pass;
+
+  // End-to-end context: the engine's availability work on a
+  // production-shaped GM-default FGT solve.
+  const Instance gm = GmInstance();
+  const VdpsCatalog gm_catalog = VdpsCatalog::Generate(gm, PrunedVdps());
+  const GameResult gm_run = SolveFgt(gm, gm_catalog);
 
   const double per_call = 1e9 / static_cast<double>(evaluate_calls);
   obs::JsonWriter json;
   json.BeginObject();
   json.Key("bench");
-  json.String("simd_kernels");
+  json.String("game_best_response");
   json.Key("meta");
   bench::AppendBenchMeta(json);
   json.Key("workload");
@@ -949,44 +727,28 @@ int RunSimdKernelGate(size_t num_workers) {
   json.UInt(static_cast<uint64_t>(num_workers));
   json.Key("strategies_per_worker");
   json.UInt(static_cast<uint64_t>(catalog.MaxStrategiesPerWorker()));
-  json.Key("lanes_per_evaluate");
-  json.Double(lanes_per_evaluate);
   json.Key("evaluate_calls");
   json.UInt(evaluate_calls);
-  json.Key("avx2_supported");
-  json.Bool(avx2);
-  json.Key("dispatch");
-  json.String(simd::SimdModeName(avx2 ? simd::SimdMode::kAvx2
-                                      : simd::SimdMode::kScalar));
-  json.Key("legacy");
+  json.Key("walk");
+  json.BeginObject();
+  json.Key("seconds");
+  json.Double(walk_seconds);
+  json.Key("ns_per_evaluate");
+  json.Double(walk_seconds * per_call);
+  json.Key("availability_checks_per_evaluate");
+  json.Double(checks_per_evaluate);
+  json.Key("steady_state_allocations");
+  json.UInt(engine_allocs);
+  json.EndObject();
+  json.Key("full_scan");
   json.BeginObject();
   json.Key("seconds");
   json.Double(legacy_seconds);
   json.Key("ns_per_evaluate");
   json.Double(legacy_seconds * per_call);
   json.EndObject();
-  json.Key("scalar_batch");
-  json.BeginObject();
-  json.Key("seconds");
-  json.Double(scalar_seconds);
-  json.Key("ns_per_evaluate");
-  json.Double(scalar_seconds * per_call);
-  json.EndObject();
-  if (avx2) {
-    json.Key("avx2_batch");
-    json.BeginObject();
-    json.Key("seconds");
-    json.Double(avx2_seconds);
-    json.Key("ns_per_evaluate");
-    json.Double(avx2_seconds * per_call);
-    json.EndObject();
-  }
-  json.Key("steady_state_allocations");
-  json.UInt(engine_allocs);
-  json.Key("speedup");
+  json.Key("walk_speedup");
   json.Double(speedup);
-  json.Key("speedup_scalar_batch");
-  json.Double(speedup_scalar);
   json.Key("speedup_threshold");
   json.Double(kSpeedupThreshold);
   json.Key("zero_alloc_pass");
@@ -995,30 +757,33 @@ int RunSimdKernelGate(size_t num_workers) {
   json.Bool(replica_agrees);
   json.Key("speedup_pass");
   json.Bool(speedup_pass);
-  json.Key("report_only");
-  json.Bool(report_only);
+  json.Key("gm_default_fgt_engine");
+  json.BeginObject();
+  json.Key("strategies_scanned");
+  json.UInt(gm_run.engine.strategies_scanned);
+  json.Key("cache_skips");
+  json.UInt(gm_run.engine.cache_skips);
+  json.EndObject();
   json.Key("pass");
   json.Bool(pass);
   json.EndObject();
-  const std::string path = "BENCH_simd.json";
+  const std::string path = "BENCH_game.json";
   std::ofstream out(path);
   out << json.str() << "\n";
   out.close();
 
   std::printf(
-      "simd kernel gate (|W|=%zu, %.0f lanes/Evaluate): legacy %.1f "
-      "ns/call, scalar batch %.1f ns/call, %s %.1f ns/call (%llu allocs) "
-      "-> %.2fx (>= %.1fx%s, 0 allocs, replica %s: %s); wrote %s\n",
-      num_workers, lanes_per_evaluate,
-      legacy_seconds * per_call, scalar_seconds * per_call,
-      avx2 ? "avx2 batch" : "no avx2; scalar", active_seconds * per_call,
+      "game gate (|W|=%zu, %.1f availability checks/Evaluate): full scan "
+      "%.1f ns/call, walk %.1f ns/call (%llu allocs) -> %.2fx (>= %.1fx, "
+      "0 allocs, replica %s: %s); wrote %s\n",
+      num_workers, checks_per_evaluate, legacy_seconds * per_call,
+      walk_seconds * per_call,
       static_cast<unsigned long long>(engine_allocs), speedup,
-      kSpeedupThreshold, report_only ? " report-only" : "",
-      replica_agrees ? "agrees" : "DISAGREES",
+      kSpeedupThreshold, replica_agrees ? "agrees" : "DISAGREES",
       pass ? "PASS" : "FAIL", path.c_str());
   if (!pass) {
     std::fprintf(stderr,
-                 "simd kernel gate FAILED: allocations=%llu (need 0), "
+                 "game gate FAILED: allocations=%llu (need 0), "
                  "replica_agrees=%d, speedup %.2fx (need >= %.1fx)\n",
                  static_cast<unsigned long long>(engine_allocs),
                  replica_agrees ? 1 : 0, speedup, kSpeedupThreshold);
@@ -1030,12 +795,11 @@ int RunSimdKernelGate(size_t num_workers) {
 }  // namespace fta
 
 int main(int argc, char** argv) {
-  // --bench=obs / --bench=game / --bench=simd run just that gate (the CI
-  // smoke mode); --gate-workers=N resizes the ledger and SIMD gates'
-  // instances. All are consumed here so google-benchmark never sees them.
+  // --bench=obs / --bench=game run just that gate (the CI smoke mode);
+  // --gate-workers=N resizes the game gate's instance. All are consumed
+  // here so google-benchmark never sees them.
   bool obs_only = false;
   bool game_only = false;
-  bool simd_only = false;
   std::size_t gate_workers = 256;
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
@@ -1044,8 +808,6 @@ int main(int argc, char** argv) {
       obs_only = true;
     } else if (arg == "--bench=game") {
       game_only = true;
-    } else if (arg == "--bench=simd") {
-      simd_only = true;
     } else if (arg.rfind("--gate-workers=", 0) == 0) {
       gate_workers = static_cast<std::size_t>(
           std::strtoull(arg.c_str() + std::strlen("--gate-workers="),
@@ -1060,15 +822,9 @@ int main(int argc, char** argv) {
   }
   argc = kept;
   if (obs_only) return fta::RunObsOverheadGate();
-  if (game_only) return fta::RunGameLedgerGate(gate_workers);
-  if (simd_only) return fta::RunSimdKernelGate(gate_workers);
+  if (game_only) return fta::RunGameGate(gate_workers);
   if (const int rc = fta::RunObsOverheadGate(); rc != 0) return rc;
-  if (const int rc = fta::RunGameLedgerGate(gate_workers); rc != 0) {
-    return rc;
-  }
-  if (const int rc = fta::RunSimdKernelGate(gate_workers); rc != 0) {
-    return rc;
-  }
+  if (const int rc = fta::RunGameGate(gate_workers); rc != 0) return rc;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

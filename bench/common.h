@@ -26,8 +26,8 @@ namespace bench {
 /// Process-lifetime worker pools, one per thread count. Replay benches
 /// repeat their workloads many times; constructing a fresh ThreadPool per
 /// repetition both pays thread spawn inside the timed region and hides
-/// pool-reuse regressions. Inject these through VdpsConfig::pool /
-/// BestResponseConfig::pool (or pass to AssignmentServer) so repetitions
+/// pool-reuse regressions. Inject these through VdpsConfig::pool (or pass
+/// to AssignmentServer) so repetitions
 /// share one pool — bench_serve asserts via ThreadPool::total_created()
 /// that its measurement loop spawns none. Benches are single-threaded at
 /// the call site, so the static map needs no lock.

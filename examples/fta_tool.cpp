@@ -325,7 +325,7 @@ int CmdStream(int argc, const char* const* argv) {
   flags.AddDouble("tick-period", &tick_period, "hours per tick");
   flags.AddDouble("epsilon", &epsilon, "pruning threshold (km; 0 = off)");
   flags.AddSizeT("max_set", &max_set, "max delivery points per VDPS");
-  flags.AddSizeT("threads", &threads, "catalog/best-response threads");
+  flags.AddSizeT("threads", &threads, "catalog generation threads");
   flags.AddDouble("task-rate", &task_rate, "mean order arrivals per hour");
   flags.AddDouble("worker-rate", &worker_rate,
                   "mean worker arrivals per hour");
@@ -381,8 +381,6 @@ int CmdStream(int argc, const char* const* argv) {
   config.vdps.epsilon = epsilon > 0 ? epsilon : kInfinity;
   config.vdps.max_set_size = static_cast<uint32_t>(max_set);
   config.vdps.num_threads = threads;
-  config.fgt.engine.num_threads = threads;
-  config.iegt.engine.num_threads = threads;
   config.seed = static_cast<uint64_t>(seed);
   config.telemetry.window_ticks = window > 0 ? window : 1;
   config.telemetry.publish_path = prom_out;

@@ -14,17 +14,6 @@ void AppendEngine(obs::JsonWriter& w, const BestResponseCounters& e) {
   w.UInt(e.strategies_scanned);
   w.Key("cache_skips");
   w.UInt(e.cache_skips);
-  w.Key("parallel_batches");
-  w.UInt(e.parallel_batches);
-  w.Key("simd");
-  w.BeginObject();
-  w.Key("batches");
-  w.UInt(e.simd_batches);
-  w.Key("lanes");
-  w.UInt(e.simd_lanes);
-  w.Key("avx2_batches");
-  w.UInt(e.simd_avx2_batches);
-  w.EndObject();
   w.Key("ledger");
   w.BeginObject();
   w.Key("sorts_eliminated");

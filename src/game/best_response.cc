@@ -1,70 +1,57 @@
 #include "game/best_response.h"
 
 #include <algorithm>
+#include <cmath>
 
-#include "game/iau_kernels.h"
 #include "obs/trace.h"
-#include "util/logging.h"
 #include "util/math_util.h"
-#include "util/simd.h"
 #include "util/string_util.h"
 #include "vdps/catalog.h"
 
 namespace fta {
 
+namespace {
+
+/// Rounding slack of the window width, in units of 2^-53 (DESIGN.md §2: the
+/// first-order error bound needs 16; the rest absorbs higher-order terms
+/// and the rounding of the window comparison itself).
+constexpr double kWindowUlps = 128.0;
+
+}  // namespace
+
 BestResponseEngine::BestResponseEngine(JointState& state,
                                        const IauParams& params,
                                        const BestResponseConfig& config)
-    : state_(&state), params_(params), config_(config) {
-  if (config_.pool != nullptr) {
-    // Injected pool: reuse the caller's workers. A 1-thread pool keeps
-    // the scan serial, matching the num_threads <= 1 contract.
-    if (config_.pool->num_threads() > 1) pool_ = config_.pool;
-  } else if (config_.num_threads > 1) {
-    owned_pool_ = std::make_unique<ThreadPool>(config_.num_threads);
-    pool_ = owned_pool_.get();
-  }
-  if (config_.use_incremental_index) {
+    : state_(&state), params_(params) {
+  const double slope =
+      1.0 + std::min(params_.alpha, 0.0) - std::max(params_.beta, 0.0);
+  window_scale_ = slope > 0.0 ? kWindowUlps * 0x1p-53 *
+                                    (1.0 + std::abs(params_.alpha) +
+                                     std::abs(params_.beta)) /
+                                    slope
+                              : kInfinity;
+  if (config.use_incremental_index) {
     const VdpsCatalog& catalog = state_->catalog();
     avail_.resize(catalog.num_workers());
     for (size_t w = 0; w < catalog.num_workers(); ++w) {
       avail_[w].assign(catalog.strategies(w).size(), kUnknown);
     }
   }
-  // The ledger is maintained unconditionally (Apply keeps it coherent
-  // either way); use_payoff_ledger only selects which view Evaluate reads.
-  // Maintenance costs O(moved elements) per Apply — negligible next to the
-  // candidate scan — and keeps the solvers' sort-free round metrics
-  // (P_dif, Gini, Φ) available even in the A/B rebuild configuration.
   ledger_.Reset(state_->payoffs());
-  // Batch scratch, sized once so the candidate scan never allocates: one
-  // slot per potential shard (the Evaluate fan-out uses at most
-  // num_threads * 4 shards), each able to hold a full worker's catalog.
-  const size_t max_strategies = state_->catalog().MaxStrategiesPerWorker();
-  const size_t shard_slots =
-      pool_ != nullptr ? pool_->num_threads() * 4 : size_t{1};
-  scratch_.resize(std::max<size_t>(size_t{1}, shard_slots));
-  for (KernelScratch& s : scratch_) {
-    s.owns.assign(max_strategies, 0.0);
-    s.indices.assign(max_strategies, 0);
-  }
 }
 
-BestResponseEngine::~BestResponseEngine() = default;
-
-bool BestResponseEngine::Available(size_t w, int32_t idx,
-                                   BestResponseCounters& counters) {
+bool BestResponseEngine::Available(size_t w, int32_t idx) {
   if (idx == kNullStrategy) return true;
   if (avail_.empty()) {
-    ++counters.strategies_scanned;
+    ++counters_.strategies_scanned;
     return state_->IsAvailable(w, idx);
   }
   uint8_t& slot = avail_[w][static_cast<size_t>(idx)];
   if (slot != kUnknown) {
-    ++counters.cache_skips;
+    ++counters_.cache_skips;
     return slot == kAvailable;
   }
-  ++counters.strategies_scanned;
+  ++counters_.strategies_scanned;
   const bool ok = state_->IsAvailable(w, idx);
   slot = ok ? kAvailable : kBlocked;
   return ok;
@@ -117,38 +104,33 @@ void BestResponseEngine::Apply(size_t w, int32_t idx) {
   ledger_.Update(w, state_->payoff_of(w));
 }
 
+double BestResponseEngine::WindowWidth(size_t w) const {
+  if (window_scale_ == kInfinity) return kInfinity;
+  // Magnitude bounds of the error analysis: the largest |payoff| among w's
+  // strategies (a descending list's ends) and among all workers (the
+  // ledger's ends, a superset of the exclude-w view), m = |W| - 1 others.
+  const std::vector<double>& own = state_->catalog().strategy_payoffs(w);
+  const std::vector<double>& all = ledger_.sorted();
+  const double own_max = std::max(std::abs(own.front()), std::abs(own.back()));
+  const double others_max =
+      std::max(std::abs(all.front()), std::abs(all.back()));
+  const double m = static_cast<double>(all.size() - 1);
+  return window_scale_ * (own_max + (m + 4.0) * others_max);
+}
+
 // FTA_HOT_BEGIN(best-response-scan)
 // Steady-state region (fta_lint hot-path-allocation): Evaluate through
-// AvailableAbovePayoff run once per candidate move, every round. Scratch
-// is sized in the constructor; nothing here may allocate per call.
+// AvailableAbovePayoff run once per candidate move, every round. Nothing
+// here may allocate per call.
 
 BestResponseOutcome BestResponseEngine::Evaluate(size_t w) {
   FTA_SPAN("game/best_response");
-  if (config_.use_payoff_ledger) {
-    // Sort-free, allocation-free path: the ledger copies its sorted array
-    // minus w's slot into reusable scratch and recomputes prefix sums —
-    // O(|W|) with zero heap traffic, versus the rebuild path's
-    // O(|W| log |W|) sort plus two allocations (DESIGN.md §9).
-    return EvaluateWithView(w, ledger_.Exclude(w));
-  }
-  // A/B rebuild path (bench_micro --bench=game, identity tests): gather
-  // the other workers' payoffs and sort them from scratch.
-  const std::vector<double>& payoffs = state_->payoffs();
-  std::vector<double> others;
-  others.reserve(payoffs.empty() ? 0 : payoffs.size() - 1);
-  for (size_t j = 0; j < payoffs.size(); ++j) {
-    if (j != w) others.push_back(payoffs[j]);
-  }
-  return EvaluateWithView(w, OthersView(std::move(others)));
-}
-
-template <typename View>
-BestResponseOutcome BestResponseEngine::EvaluateWithView(size_t w,
-                                                         const View& view) {
+  // Sort-free, allocation-free exclude-one view (DESIGN.md §9).
+  const LedgerView& view = ledger_.Exclude(w);
   const int32_t current = state_->strategy_of(w);
   const double incumbent_u = view.Iau(state_->payoff_of(w), params_);
 
-  // The null strategy (always available) seeds the challenger reduce; its
+  // The null strategy (always available) seeds the challenger fold; its
   // index kNullStrategy = -1 sorts below every catalog index, preserving
   // the "null first" candidate order of Equation 10.
   Candidate challenger;
@@ -156,63 +138,24 @@ BestResponseOutcome BestResponseEngine::EvaluateWithView(size_t w,
     challenger = Candidate{view.Iau(0.0, params_), kNullStrategy, true};
   }
 
-  // Candidate payoffs stream from the catalog's SoA array (contiguous
-  // doubles, no striding through WorkerStrategy structs), and each shard
-  // issues ONE fused SortedIauBatchArgmax over its gathered availability
-  // survivors instead of a view.Iau per candidate. Bit-identity: the
-  // kernel's per-lane expression tree is exactly SortedIau's
-  // (game/iau_kernels.h) and its earliest-max reduce is exactly the
-  // Better() fold over ascending indices, so Better(cand, winner) equals
-  // the per-candidate fold the old loop produced — the max is a total
-  // order, so folding a batch's own maximum first cannot change it.
-  const size_t n = state_->catalog().strategies(w).size();
-  const double* payoffs = state_->catalog().strategy_payoffs(w).data();
-  const bool avx2 = simd::ActiveSimdMode() == simd::SimdMode::kAvx2;
-  auto scan = [&](size_t lo, size_t hi, KernelScratch& scratch,
-                  Candidate& cand, BestResponseCounters& counters) {
-    size_t cnt = 0;
-    for (size_t i = lo; i < hi; ++i) {
-      const int32_t idx = static_cast<int32_t>(i);
-      if (idx == current) continue;  // evaluated as the incumbent
-      if (!Available(w, idx, counters)) continue;
-      scratch.owns[cnt] = payoffs[i];
-      scratch.indices[cnt] = idx;
-      ++cnt;
+  // Walk the payoff-descending strategy list to the first available
+  // candidate p0, then score every available candidate down to p0 - δ.
+  // Below the window no computed utility can reach p0's (DESIGN.md §2),
+  // so the fold equals the full scan's, tie-breaks included.
+  const std::vector<double>& payoffs = state_->catalog().strategy_payoffs(w);
+  double floor = -kInfinity;
+  bool seen = false;
+  for (size_t i = 0; i < payoffs.size(); ++i) {
+    if (payoffs[i] < floor) break;  // descending: the rest lie below too
+    const int32_t idx = static_cast<int32_t>(i);
+    if (idx == current) continue;  // evaluated as the incumbent
+    if (!Available(w, idx)) continue;
+    if (!seen) {
+      seen = true;
+      floor = payoffs[i] - WindowWidth(w);
     }
-    if (cnt == 0) return;
-    double best_u = 0.0;
-    const size_t pos = SortedIauBatchArgmax(
-        view.sorted_values(), view.size(), view.prefix_sums(), params_,
-        scratch.owns.data(), cnt, &best_u);
-    ++counters.simd_batches;
-    counters.simd_lanes += cnt;
-    if (avx2) ++counters.simd_avx2_batches;
-    cand = Better(cand, Candidate{best_u, scratch.indices[pos], true});
-  };
-
-  if (pool_ != nullptr && n >= config_.min_parallel_candidates) {
-    // Sharded fan-out with a deterministic reduce: each shard folds its own
-    // range, then the shard winners fold in shard order. Better() is a max
-    // under the total order (utility desc, index asc), so the result is
-    // independent of the shard partition and of execution interleaving.
-    const size_t shards = std::min(n, pool_->num_threads() * 4);
-    const size_t chunk = (n + shards - 1) / shards;
-    std::vector<Candidate> winners(shards);
-    std::vector<BestResponseCounters> shard_counters(shards);
-    FTA_SPAN("game/br_batch");
-    pool_->RunBatch(shards, [&](size_t s) {
-      FTA_SPAN("game/br_shard");
-      const size_t lo = s * chunk;
-      const size_t hi = std::min(n, lo + chunk);
-      if (lo < hi) scan(lo, hi, scratch_[s], winners[s], shard_counters[s]);
-    });
-    ++counters_.parallel_batches;
-    for (size_t s = 0; s < shards; ++s) {
-      challenger = Better(challenger, winners[s]);
-      counters_ += shard_counters[s];
-    }
-  } else {
-    scan(0, n, scratch_[0], challenger, counters_);
+    challenger = Better(
+        challenger, Candidate{view.Iau(payoffs[i], params_), idx, true});
   }
 
   BestResponseOutcome out;
@@ -238,7 +181,7 @@ bool BestResponseEngine::Step(size_t w) {
 }
 
 bool BestResponseEngine::IsAvailableCached(size_t w, int32_t idx) {
-  return Available(w, idx, counters_);
+  return Available(w, idx);
 }
 
 void BestResponseEngine::AvailableAbovePayoff(size_t w,
@@ -253,7 +196,7 @@ void BestResponseEngine::AvailableAbovePayoff(size_t w,
     if (payoffs[i] <= payoff_threshold + kEps) break;  // sorted desc
     // Caller-owned buffer, reused across calls (out.clear() above keeps
     // capacity): growth amortizes to zero in steady state.
-    if (Available(w, idx, counters_)) out.push_back(idx);  // NOLINT(fta-alloc)
+    if (Available(w, idx)) out.push_back(idx);  // NOLINT(fta-alloc)
   }
 }
 

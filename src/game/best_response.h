@@ -2,7 +2,6 @@
 #define FTA_GAME_BEST_RESPONSE_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "game/iau.h"
@@ -10,39 +9,18 @@
 #include "game/payoff_ledger.h"
 #include "game/trace.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace fta {
 
 /// Tuning of the shared best-response engine.
 struct BestResponseConfig {
-  /// Threads for candidate-strategy evaluation; <= 1 keeps every scan on
-  /// the calling thread. Results are bit-identical at any thread count:
-  /// the reduce applies a total order (utility desc, strategy index asc,
-  /// null below index 0) that no shard boundary can disturb.
-  size_t num_threads = 1;
-  /// Non-owning external pool for the candidate scan. When set it
-  /// overrides `num_threads` (an injected 1-thread pool keeps the scan
-  /// serial) and MUST outlive the engine — long-lived callers (the
-  /// serving layer, benches repeating solves) reuse one pool instead of
-  /// paying a thread spawn/join per engine construction. Results are
-  /// bit-identical either way.
-  ThreadPool* pool = nullptr;
   /// Maintain the incremental availability index: per-strategy cached
   /// availability bits, invalidated through the catalog's delivery-point →
   /// strategies inverted index on every strategy switch. Purely a
-  /// performance feature — results are identical with it off.
+  /// performance feature — results are identical with it off. One-shot
+  /// callers (BestResponse, IsPureNashEquilibrium) turn it off: building
+  /// the cache would cost one full scan anyway.
   bool use_incremental_index = true;
-  /// Candidate count below which a scan stays serial even when a pool is
-  /// available (fan-out overhead dominates tiny catalogs).
-  size_t min_parallel_candidates = 64;
-  /// Serve Evaluate's exclude-one view from the incrementally sorted
-  /// payoff ledger (no sort, no allocation) instead of rebuilding an
-  /// OthersView per call. Results are bit-identical either way
-  /// (tests/game_ledger_identity_test.cc); `false` exists only for the
-  /// A/B benchmark (bench_micro --bench=game) and the identity tests —
-  /// production code has no reason to turn the ledger off.
-  bool use_payoff_ledger = true;
 };
 
 /// Outcome of one best-response scan.
@@ -63,16 +41,24 @@ struct BestResponseOutcome {
 };
 
 /// The shared inner loop of the game solvers (FGT, IEGT, equilibrium
-/// analysis, pure-NE enumeration): evaluates candidate strategies against
-/// the current joint state, fanning the scan out over a thread pool with a
-/// deterministic sharded reduce, and re-checking a strategy's availability
-/// only when a delivery point of that strategy changed owner since the last
-/// check (incremental availability index).
+/// analysis, pure-NE enumeration): finds a worker's best response against
+/// the current joint state, re-checking a strategy's availability only when
+/// a delivery point of that strategy changed owner since the last check
+/// (incremental availability index).
+///
+/// Evaluate() does not score every candidate. IAU (Equation 5) increases
+/// strictly with the worker's own payoff whenever its smallest slope
+/// 1 + min(alpha, 0) − max(beta, 0) is positive, so it walks the
+/// payoff-sorted strategy list to the first available strategy and scores
+/// only the available strategies whose payoff lies within a rounding
+/// window below it; every strategy further down provably computes a lower
+/// utility. The outcome equals a full scan's argmax bit for bit (DESIGN.md
+/// §2 derives the window). A non-positive slope makes the window infinite
+/// and the walk a full scan.
 ///
 /// All joint-state mutations must go through Apply() so the availability
 /// cache stays coherent. The engine never mutates the state on its own.
-/// Not thread-safe: one engine serves one solver loop; internal parallelism
-/// is the engine's own business.
+/// Not thread-safe: one engine serves one solver loop.
 class BestResponseEngine {
  public:
   /// Binds the engine to a state. `state` and the catalog it references
@@ -81,12 +67,10 @@ class BestResponseEngine {
                               const IauParams& params = IauParams(),
                               const BestResponseConfig& config =
                                   BestResponseConfig());
-  ~BestResponseEngine();
-
   BestResponseEngine(const BestResponseEngine&) = delete;
   BestResponseEngine& operator=(const BestResponseEngine&) = delete;
 
-  /// Full best-response scan of worker w (Equation 10), with utilities.
+  /// Best response of worker w (Equation 10), with utilities.
   BestResponseOutcome Evaluate(size_t w);
 
   /// The best-response strategy index of worker w.
@@ -123,13 +107,12 @@ class BestResponseEngine {
 
   /// Exactness contract of the payoff ledger (FTA_VALIDATE, called at
   /// solver round boundaries): the ledger's sorted array and position maps
-  /// must be a bit-exact permutation of the live payoffs. Trivially OK
-  /// when the ledger is off.
+  /// must be a bit-exact permutation of the live payoffs.
   Status ValidateLedger() const;
 
-  /// The incrementally sorted payoff ledger (always maintained; Evaluate
-  /// consults it only when config.use_payoff_ledger). Solvers use it for
-  /// sort-free per-round P_dif / Gini / potential.
+  /// The incrementally sorted payoff ledger that serves Evaluate's
+  /// exclude-one views. Solvers use it for sort-free per-round P_dif /
+  /// Gini / potential.
   const PayoffLedger& ledger() const { return ledger_; }
 
   const BestResponseCounters& counters() const {
@@ -145,10 +128,10 @@ class BestResponseEngine {
   static constexpr uint8_t kBlocked = 2;
 
   // FTA_HOT_BEGIN(candidate-fold)
-  /// Candidate in the deterministic reduce; ordered by (utility desc,
-  /// index asc). `valid` is false for the identity element. Runs once per
-  /// shard winner per Evaluate — allocation-free by construction, checked
-  /// by fta_lint's hot-path-allocation rule.
+  /// Candidate in the Equation-10 fold; ordered by (utility desc, index
+  /// asc), the null strategy's index -1 sorting below every catalog index.
+  /// `valid` is false for the identity element. Allocation-free by
+  /// construction, checked by fta_lint's hot-path-allocation rule.
   struct Candidate {
     double utility = 0.0;
     int32_t index = 0;
@@ -162,41 +145,24 @@ class BestResponseEngine {
   }
   // FTA_HOT_END(candidate-fold)
 
-  /// Reusable gather scratch of the batched candidate scan (one slot per
-  /// potential shard, sized once in the constructor to the catalog's max
-  /// strategies per worker — Evaluate never allocates in steady state):
-  /// available candidates' payoffs stream from the catalog's SoA array into
-  /// `owns`, one fused SortedIauBatchArgmax call reduces them, and
-  /// `indices` maps the winning position back to its strategy index.
-  struct KernelScratch {
-    std::vector<double> owns;
-    std::vector<int32_t> indices;
-  };
-
-  /// Availability with counter accounting into `counters` (per-shard
-  /// accumulators during a parallel scan; counters_ otherwise).
-  bool Available(size_t w, int32_t idx, BestResponseCounters& counters);
+  /// Availability with counter accounting.
+  bool Available(size_t w, int32_t idx);
 
   /// Writes `value` into the cache entry of every strategy touching `dp`,
   /// except the mover's own entries (exempt through self-ownership).
   void Mark(uint32_t dp, size_t mover, uint8_t value);
 
-  /// Shared candidate-scan body of Evaluate(); `view` is either the
-  /// ledger's exclude-one view or a freshly built OthersView — both expose
-  /// Mp/Lp/Iau over the same sorted sequence, so the outcome is
-  /// bit-identical (DESIGN.md §9).
-  template <typename View>
-  BestResponseOutcome EvaluateWithView(size_t w, const View& view);
+  /// Width δ of the payoff window below the first available candidate of
+  /// worker w (DESIGN.md §2); infinite when IAU is not strictly monotone.
+  double WindowWidth(size_t w) const;
 
   JointState* state_;
   IauParams params_;
-  BestResponseConfig config_;
-  std::unique_ptr<ThreadPool> owned_pool_;  // only when no injected pool
-  ThreadPool* pool_ = nullptr;  // injected or owned_pool_.get(); may be null
+  /// 128·2⁻⁵³·(1 + |alpha| + |beta|) / slope, the parameter-only factor of
+  /// δ; +∞ when the slope 1 + min(alpha, 0) − max(beta, 0) is not positive.
+  double window_scale_;
   /// avail_[w][i]: cached availability of strategy i for worker w.
   std::vector<std::vector<uint8_t>> avail_;
-  /// Per-shard batch scratch; scratch_[0] serves the serial path.
-  std::vector<KernelScratch> scratch_;
   /// Incrementally sorted payoffs; kept coherent by Apply().
   PayoffLedger ledger_;
   /// mutable: counters() is conceptually const but folds the ledger's own

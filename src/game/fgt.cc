@@ -36,10 +36,9 @@ IterationStats Snapshot(const JointState& state, int iteration,
 
 int32_t BestResponse(const JointState& state, size_t w,
                      const IauParams& params) {
-  // One-shot scan: serial, no cache (building it would cost exactly one
-  // full scan anyway). Evaluate never mutates the state.
+  // One-shot scan: no cache (building it would cost exactly one full scan
+  // anyway). Evaluate never mutates the state.
   BestResponseConfig config;
-  config.num_threads = 1;
   config.use_incremental_index = false;
   BestResponseEngine engine(const_cast<JointState&>(state), params, config);
   return engine.BestResponse(w);
@@ -47,7 +46,6 @@ int32_t BestResponse(const JointState& state, size_t w,
 
 bool IsPureNashEquilibrium(const JointState& state, const IauParams& params) {
   BestResponseConfig config;
-  config.num_threads = 1;
   config.use_incremental_index = false;
   BestResponseEngine engine(const_cast<JointState&>(state), params, config);
   return engine.IsNash();

@@ -40,7 +40,7 @@ struct FgtConfig {
   bool record_trace = false;
   /// Optional early termination (patience = 0 disables; see EarlyStopRule).
   EarlyStopRule early_stop;
-  /// Best-response engine tuning (threads, incremental availability index).
+  /// Best-response engine tuning (incremental availability index).
   /// Assignments are bit-identical across all engine settings.
   BestResponseConfig engine;
   /// Warm-start joint strategy (one index into the catalog's per-worker

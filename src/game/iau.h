@@ -17,9 +17,9 @@ struct IauParams {
 /// IAU of a worker with payoff `own` among `others` (the remaining |W|-1
 /// workers' payoffs), directly from Equations 5-7. O(|others|).
 ///
-/// TEST ORACLE ONLY. Production code evaluates through SortedIau /
-/// SortedIauBatch (one shared kernel instance, bit-identical across the
-/// ledger, rebuild, scalar, and AVX2 paths); this naive transliteration of
+/// TEST ORACLE ONLY. Production code evaluates through SortedIau (one
+/// shared kernel instance, bit-identical across ledger and freshly built
+/// views, scalar and AVX2 dispatch); this naive transliteration of
 /// the paper's equations survives as the independent cross-check in
 /// game_test / payoff_ledger_test / property_test and the BM_IauNaive
 /// baseline. Its accumulation order differs from the sorted kernels', so
@@ -32,7 +32,7 @@ double Iau(double own, const std::vector<double>& others,
 /// Both OthersView and the PayoffLedger's exclude-one scratch view
 /// (game/payoff_ledger.h) evaluate through exactly these functions — one
 /// compiled instance — which is what makes the ledger fast path
-/// bit-identical to the rebuild path by construction.
+/// bit-identical to a freshly built OthersView by construction.
 double SortedMp(const double* values, size_t n, const double* prefix,
                 double own);
 double SortedLp(const double* values, size_t n, const double* prefix,
@@ -56,12 +56,6 @@ class OthersView {
   double Lp(double own) const;
   /// IAU (Equation 5) for a candidate own payoff.
   double Iau(double own, const IauParams& params) const;
-
-  /// Raw ascending values / prefix sums (size() and size() + 1 elements) —
-  /// the inputs SortedIauBatch streams for the engine's batched candidate
-  /// scan.
-  const double* sorted_values() const { return sorted_.data(); }
-  const double* prefix_sums() const { return prefix_.data(); }
 
  private:
   std::vector<double> sorted_;  // ascending

@@ -66,12 +66,6 @@ class LedgerView {
     return SortedIau(values_.data(), values_.size(), prefix_.data(), own,
                      params);
   }
-
-  /// Raw ascending values / prefix sums (size() and size() + 1 elements) —
-  /// the inputs SortedIauBatch streams for the engine's batched candidate
-  /// scan.
-  const double* sorted_values() const { return values_.data(); }
-  const double* prefix_sums() const { return prefix_.data(); }
   // FTA_HOT_END(ledger-view)
 
  private:
@@ -95,9 +89,9 @@ class LedgerView {
 /// prefix sums follow the canonical blocked accumulation order over that
 /// sequence exactly as OthersView does (util/simd.h — identical on scalar
 /// and AVX2 dispatch), so every Mp/Lp/IAU result — and therefore every
-/// chosen strategy — matches the rebuild path bit for bit
-/// (tests/game_ledger_identity_test.cc pins this across seeds and thread
-/// counts). The sorted array also serves the round metrics sort-free:
+/// chosen strategy — matches a freshly built OthersView bit for bit
+/// (tests/payoff_ledger_test.cc under churn; tests/game_ledger_identity_test.cc
+/// over whole runs). The sorted array also serves the round metrics sort-free:
 /// PayoffDifference() and the potential overload reuse the same
 /// accumulation MeanAbsolutePairwiseDifference performs after its sort.
 ///

@@ -1,11 +1,11 @@
 #include "game/priority.h"
 
-#include <algorithm>
 #include <cmath>
 
+#include "game/best_response.h"
 #include "game/init.h"
 #include "game/joint_state.h"
-#include "game/potential.h"
+#include "util/check.h"
 #include "util/logging.h"
 #include "util/math_util.h"
 #include "util/rng.h"
@@ -40,100 +40,6 @@ double PriorityPayoffDifference(const std::vector<double>& payoffs,
   return MeanAbsolutePairwiseDifference(Normalize(payoffs, priorities));
 }
 
-double PriorityIau(double own_payoff, double own_priority,
-                   const std::vector<double>& other_payoffs,
-                   const std::vector<double>& other_priorities,
-                   const IauParams& params) {
-  FTA_CHECK(other_payoffs.size() == other_priorities.size());
-  FTA_CHECK(own_priority > 0.0);
-  // OthersView sorts the normalized payoffs and serves the O(log n)
-  // rank-based kernels — the legacy O(n) Iau survives only as the test
-  // oracle (game/iau.h).
-  const OthersView view(Normalize(other_payoffs, other_priorities));
-  return own_priority * view.Iau(own_payoff / own_priority, params);
-}
-
-GameResult SolvePriorityFgt(const Instance& instance,
-                            const VdpsCatalog& catalog,
-                            const PriorityFgtConfig& config) {
-  FTA_CHECK_MSG(ValidPriorities(config.priorities, instance.num_workers()),
-                "need one strictly positive priority per worker");
-  JointState state(instance, catalog);
-  Rng rng(config.seed);
-  RandomSingletonInit(state, rng);
-
-  const auto snapshot = [&](int round, size_t changes) {
-    IterationStats s;
-    s.iteration = round;
-    // Normalize and sort once per snapshot: P_dif and Φ both need the
-    // normalized payoffs' pairwise spread, so they share one sorted copy
-    // (this used to normalize twice and sort twice). Bit-identical to the
-    // old two-pass form — same sort, same kernels, same value sequences.
-    const std::vector<double> normalized =
-        Normalize(state.payoffs(), config.priorities);
-    std::vector<double> sorted = normalized;
-    std::sort(sorted.begin(), sorted.end());
-    const double p_dif = MeanAbsolutePairwiseDifferenceSorted(sorted);
-    s.payoff_difference = p_dif;
-    s.average_payoff = Mean(state.payoffs());
-    s.potential = ExactPotential(normalized, config.iau.alpha, p_dif);
-    s.num_changes = changes;
-    return s;
-  };
-
-  GameResult result;
-  if (config.record_trace) result.trace.push_back(snapshot(0, 0));
-
-  // Best responses on the *normalized* payoffs: build the OthersView over
-  // P_j / p_j once per responder, evaluate each candidate's P / p_i.
-  for (int round = 1; round <= config.max_rounds; ++round) {
-    size_t changes = 0;
-    for (size_t w = 0; w < instance.num_workers(); ++w) {
-      std::vector<double> others;
-      others.reserve(instance.num_workers() - 1);
-      for (size_t j = 0; j < instance.num_workers(); ++j) {
-        if (j != w) others.push_back(state.payoff_of(j) /
-                                     config.priorities[j]);
-      }
-      const OthersView view(std::move(others));
-      const double p_w = config.priorities[w];
-      const int32_t current = state.strategy_of(w);
-      int32_t best_idx = current;
-      double best_u = view.Iau(state.payoff_of(w) / p_w, config.iau);
-      if (current != kNullStrategy) {
-        const double null_u = view.Iau(0.0, config.iau);
-        if (DefinitelyGreater(null_u, best_u)) {
-          best_idx = kNullStrategy;
-          best_u = null_u;
-        }
-      }
-      const auto& strategies = catalog.strategies(w);
-      for (size_t i = 0; i < strategies.size(); ++i) {
-        const int32_t idx = static_cast<int32_t>(i);
-        if (idx == current) continue;
-        if (!state.IsAvailable(w, idx)) continue;
-        const double u = view.Iau(strategies[i].payoff / p_w, config.iau);
-        if (DefinitelyGreater(u, best_u)) {
-          best_idx = idx;
-          best_u = u;
-        }
-      }
-      if (best_idx != current) {
-        state.Apply(w, best_idx);
-        ++changes;
-      }
-    }
-    result.rounds = round;
-    if (config.record_trace) result.trace.push_back(snapshot(round, changes));
-    if (changes == 0) {
-      result.converged = true;
-      break;
-    }
-  }
-  result.assignment = state.ToAssignment();
-  return result;
-}
-
 GameResult SolvePriorityIegt(const Instance& instance,
                              const VdpsCatalog& catalog,
                              const PriorityIegtConfig& config) {
@@ -142,6 +48,9 @@ GameResult SolvePriorityIegt(const Instance& instance,
   JointState state(instance, catalog);
   Rng rng(config.seed);
   RandomSingletonInit(state, rng);
+  // The shared engine serves the evolution candidates (the same scan as
+  // SolveIegt, through the incremental availability index).
+  BestResponseEngine engine(state);
 
   const auto snapshot = [&](int round, size_t changes) {
     IterationStats s;
@@ -166,20 +75,17 @@ GameResult SolvePriorityIegt(const Instance& instance,
     for (size_t w = 0; w < instance.num_workers(); ++w) {
       const double payoff = state.payoff_of(w);
       if (payoff / config.priorities[w] >= avg_normalized - kEps) continue;
-      better.clear();
-      const auto& strategies = catalog.strategies(w);
-      for (size_t i = 0; i < strategies.size(); ++i) {
-        const int32_t idx = static_cast<int32_t>(i);
-        if (idx == state.strategy_of(w)) continue;
-        if (strategies[i].payoff <= payoff + kEps) break;  // sorted desc
-        if (state.IsAvailable(w, idx)) better.push_back(idx);
-      }
+      engine.AvailableAbovePayoff(w, payoff, better);
       if (!better.empty()) {
-        state.Apply(w, better[rng.Index(better.size())]);
+        engine.Apply(w, better[rng.Index(better.size())]);
         ++changes;
       }
     }
     result.rounds = round;
+    // Round-boundary contracts, as in SolveIegt.
+    FTA_DCHECK_OK(state.ValidateInvariants());
+    FTA_DCHECK_OK(engine.ValidateAvailabilityIndex());
+    FTA_DCHECK_OK(engine.ValidateLedger());
     if (config.record_trace) result.trace.push_back(snapshot(round, changes));
     if (changes == 0) {
       result.converged = true;

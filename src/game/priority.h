@@ -3,8 +3,6 @@
 
 #include <vector>
 
-#include "game/fgt.h"
-#include "game/iau.h"
 #include "game/trace.h"
 #include "model/instance.h"
 #include "vdps/catalog.h"
@@ -32,42 +30,15 @@ bool ValidPriorities(const std::vector<double>& priorities,
 double PriorityPayoffDifference(const std::vector<double>& payoffs,
                                 const std::vector<double>& priorities);
 
-/// Priority-aware IAU of worker i: Equation 5 applied to normalized
-/// payoffs, rescaled back by p_i so that utilities stay comparable to raw
-/// payoffs: U_i = p_i · IAU(P̂_i among P̂_others).
-double PriorityIau(double own_payoff, double own_priority,
-                   const std::vector<double>& other_payoffs,
-                   const std::vector<double>& other_priorities,
-                   const IauParams& params);
-
-/// Configuration of the priority-aware FGT variant.
-struct PriorityFgtConfig {
-  /// One weight per worker; must validate via ValidPriorities.
-  std::vector<double> priorities;
-  IauParams iau;
-  int max_rounds = 200;
-  uint64_t seed = 42;
-  bool record_trace = false;
-};
-
-/// Priority-aware FGT: sequential best responses on the priority-aware IAU
-/// until a pure Nash equilibrium. With all-ones priorities this is exactly
-/// SolveFgt. The trace's payoff_difference column reports the
-/// priority-weighted P_dif.
-///
-/// NOTE (reproduction finding, see DESIGN.md): for beta < 1 the IAU of
-/// Equation 5 is *strictly increasing* in the worker's own payoff
-/// (dU/dP = 1 + (alpha/m)·n_above − (beta/m)·n_below ≥ 1 − beta > 0), so
-/// every best response is simply the max-payoff available strategy, and a
-/// per-worker monotone rescaling — priorities — cannot change any argmax:
-/// with the paper's alpha = beta = 0.5, SolvePriorityFgt coincides with
-/// SolveFgt. Fairness in the best-response game comes from the sequential
-/// dynamics, not from per-move trade-offs. For priorities to bite, use the
-/// evolutionary variant below, whose *selection pressure* genuinely
-/// depends on normalized payoffs.
-GameResult SolvePriorityFgt(const Instance& instance,
-                            const VdpsCatalog& catalog,
-                            const PriorityFgtConfig& config);
+/// There is no priority-aware FGT. For beta < 1 the IAU of Equation 5 is
+/// strictly increasing in the worker's own payoff (dU/dP ≥ 1 − beta > 0),
+/// so every best response is the max-payoff available strategy and a
+/// per-worker monotone rescaling — a priority — cannot change any argmax:
+/// priority-weighted best responses coincide with SolveFgt's (the engine's
+/// window walk, game/best_response.h, relies on the same monotonicity).
+/// Fairness in the best-response game comes from the sequential dynamics,
+/// not from per-move trade-offs. Priorities bite in the evolutionary game
+/// below, whose *selection pressure* depends on normalized payoffs.
 
 /// Configuration of the priority-aware IEGT variant.
 struct PriorityIegtConfig {

@@ -30,17 +30,8 @@ void PublishGameRun(const char* solver, const GameResult& result) {
   reg.GetCounter("game/engine/strategies_scanned")
       .Add(result.engine.strategies_scanned);
   reg.GetCounter("game/engine/cache_skips").Add(result.engine.cache_skips);
-  reg.GetCounter("game/engine/parallel_batches")
-      .Add(result.engine.parallel_batches);
-  // Batched-kernel traffic (game/iau_kernels.h): how many SortedIauBatch
-  // calls the candidate scans issued, how many candidate utilities they
-  // produced, and which dispatch path served them — avx2_batches is 0 on a
-  // scalar host or forced-scalar run, so dashboards can tell at a glance
-  // which kernels produced a run's numbers.
-  reg.GetCounter("game/simd/batches").Add(result.engine.simd_batches);
-  reg.GetCounter("game/simd/lanes").Add(result.engine.simd_lanes);
-  reg.GetCounter("game/simd/avx2_batches")
-      .Add(result.engine.simd_avx2_batches);
+  // Which util/simd dispatch path served the ledger's prefix sums and the
+  // sort-free P_dif, so dashboards can tell which kernels produced a run.
   reg.GetCounter(std::string("game/simd/dispatch_") +
                  simd::SimdModeName(simd::ActiveSimdMode()))
       .Increment();

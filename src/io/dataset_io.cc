@@ -1,5 +1,7 @@
 #include "io/dataset_io.h"
 
+#include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
@@ -105,7 +107,9 @@ StatusOr<MultiCenterInstance> DeserializeInstances(const std::string& text) {
       if (!x.ok()) return x.status();
       if (!y.ok()) return y.status();
       if (!speed.ok()) return speed.status();
-      if (*speed <= 0.0) return Status::ParseError("speed must be > 0");
+      if (!(*speed > 0.0) || std::isinf(*speed)) {
+        return Status::ParseError("speed must be finite and > 0");
+      }
       draft.center = {*x, *y};
       draft.speed = *speed;
       have_center = true;
@@ -125,11 +129,16 @@ StatusOr<MultiCenterInstance> DeserializeInstances(const std::string& text) {
       if (!dp.ok()) return dp.status();
       if (!expiry.ok()) return expiry.status();
       if (!reward.ok()) return reward.status();
-      const size_t d = static_cast<size_t>(*dp);
-      if (*dp < 0 || d >= draft.dp_locations.size()) {
+      // Range-check before the cast: converting a NaN or out-of-range
+      // double to an integer is undefined behaviour, and a fractional
+      // index would silently truncate to another point.
+      if (!(*dp >= 0.0 &&
+            *dp < static_cast<double>(draft.dp_locations.size())) ||
+          *dp != std::floor(*dp)) {
         return Status::ParseError(
-            StrFormat("task references unknown delivery point %.0f", *dp));
+            StrFormat("task references unknown delivery point %g", *dp));
       }
+      const size_t d = static_cast<size_t>(*dp);
       draft.dp_tasks[d].push_back(
           SpatialTask{static_cast<uint32_t>(d), *expiry, *reward});
     } else if (tag == "W") {
@@ -140,7 +149,13 @@ StatusOr<MultiCenterInstance> DeserializeInstances(const std::string& text) {
       if (!x.ok()) return x.status();
       if (!y.ok()) return y.status();
       if (!maxdp.ok()) return maxdp.status();
-      if (*maxdp < 1.0) return Status::ParseError("worker maxDP must be >= 1");
+      if (!(*maxdp >= 1.0 &&
+            *maxdp <= static_cast<double>(UINT32_MAX)) ||
+          *maxdp != std::floor(*maxdp)) {
+        return Status::ParseError(StrFormat(
+            "worker maxDP must be an integer in [1, %u], got %g",
+            UINT32_MAX, *maxdp));
+      }
       draft.workers.push_back(
           Worker{{*x, *y}, static_cast<uint32_t>(*maxdp)});
     } else if (StartsWith(tag, "#")) {

@@ -26,8 +26,21 @@ std::vector<Point> Instance::DeliveryPointLocations() const {
 }
 
 Status Instance::Validate() const {
+  // Non-finite coordinates or rewards would reach catalog payoffs, and a
+  // NaN payoff breaks the strict weak ordering the strategy sort and the
+  // best-response walk rely on.
+  const auto finite = [](const Point& p) {
+    return std::isfinite(p.x) && std::isfinite(p.y);
+  };
+  if (!finite(center_)) {
+    return Status::InvalidArgument("center has a non-finite coordinate");
+  }
   for (size_t i = 0; i < delivery_points_.size(); ++i) {
     const DeliveryPoint& dp = delivery_points_[i];
+    if (!finite(dp.location())) {
+      return Status::InvalidArgument(StrFormat(
+          "delivery point %zu has a non-finite coordinate", i));
+    }
     for (const SpatialTask& t : dp.tasks()) {
       if (t.delivery_point != i) {
         return Status::InvalidArgument(StrFormat(
@@ -38,7 +51,7 @@ Status Instance::Validate() const {
         return Status::InvalidArgument(StrFormat(
             "task at delivery point %zu has invalid expiry %f", i, t.expiry));
       }
-      if (t.reward < 0.0 || std::isnan(t.reward)) {
+      if (!(t.reward >= 0.0) || std::isinf(t.reward)) {
         return Status::InvalidArgument(StrFormat(
             "task at delivery point %zu has invalid reward %f", i, t.reward));
       }
@@ -49,10 +62,9 @@ Status Instance::Validate() const {
       return Status::InvalidArgument(
           StrFormat("worker %zu has maxDP == 0", i));
     }
-    if (std::isnan(workers_[i].location.x) ||
-        std::isnan(workers_[i].location.y)) {
+    if (!finite(workers_[i].location)) {
       return Status::InvalidArgument(
-          StrFormat("worker %zu has NaN location", i));
+          StrFormat("worker %zu has a non-finite location", i));
     }
   }
   return Status::Ok();

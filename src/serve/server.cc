@@ -86,15 +86,11 @@ TickEngineConfig ShardEngineConfig(const ServerConfig& config, uint32_t shard,
       SplitMix64(config.engine.seed ^
                  (0x9e3779b97f4a7c15ull * (static_cast<uint64_t>(shard) + 1)))
           .Next();
-  // Shard-level concurrency is the server's parallelism axis; the engines
-  // themselves stay serial (runners already execute on the pool, and a
+  // Shard-level concurrency is the server's parallelism axis; catalog
+  // generation stays serial (runners already execute on the pool, and a
   // nested fan-out from a pool worker could deadlock RunBatch).
   e.vdps.num_threads = 1;
   e.vdps.pool = nullptr;
-  e.fgt.engine.num_threads = 1;
-  e.fgt.engine.pool = nullptr;
-  e.iegt.engine.num_threads = 1;
-  e.iegt.engine.pool = nullptr;
   return e;
 }
 

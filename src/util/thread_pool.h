@@ -72,7 +72,7 @@ class ThreadPool {
 
   /// Process-lifetime count of ThreadPool constructions. Benches assert
   /// this stays flat across repetitions once warm: repeated solves must
-  /// reuse an injected pool (BestResponseConfig::pool, VdpsConfig::pool)
+  /// reuse an injected pool (VdpsConfig::pool, AssignmentServer)
   /// instead of re-spawning workers per iteration.
   static uint64_t total_created();
 

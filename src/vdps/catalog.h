@@ -295,8 +295,8 @@ class VdpsCatalog {
   size_t num_workers() const { return strategies_.size(); }
 
   /// Contiguous copy of strategies(worker_id)[i].payoff (same order, same
-  /// bits) — the SoA array the BestResponseEngine's candidate scan streams
-  /// instead of striding through WorkerStrategy structs. Rebuilt whenever
+  /// bits), which the BestResponseEngine's walk reads instead of striding
+  /// through WorkerStrategy structs. Rebuilt whenever
   /// strategies change (Generate, ApplyDelta); ValidateInvariants pins the
   /// bitwise agreement.
   const std::vector<double>& strategy_payoffs(size_t worker_id) const {

@@ -1,26 +1,34 @@
-// Pins the payoff ledger's bit-identity contract: with the ledger serving
-// Evaluate's exclude-one views (use_payoff_ledger = true, the default) and
-// with the legacy OthersView rebuild (false, the A/B switch), FGT and IEGT
-// must produce byte-for-byte the same runs — same routes, same rounds, and
-// the same IEEE-754 bit patterns in every traced P_dif / payoff / potential.
+// Pins the best-response engine against the full-scan oracle over whole
+// runs. The engine serves Evaluate from the payoff ledger's exclude-one
+// view and scores only the strategies inside the rounding window below the
+// first available one (game/best_response.h); the oracle
+// (tests/best_response_oracle.h) rebuilds an OthersView per call and
+// scores every available candidate. Stepping FGT from the same seeded
+// start through each must produce the same moves and byte-for-byte the
+// same runs — same routes, same rounds, and the same IEEE-754 bit patterns
+// in every utility, traced P_dif, payoff and potential.
 //
-// The comparison digests the *whole run* (assignment, convergence flags,
-// and the full per-round trace) with FNV-1a over 64-bit words, across 12
-// seeds and {1, 2, 8} threads, so a single-ulp divergence anywhere in any
-// round of any configuration fails the test. There are no golden constants
-// here on purpose: the contract is rebuild == ledger, not a frozen value —
+// The comparison digests the *whole run* with FNV-1a over 64-bit words,
+// across 12 seeds and several IAU weightings, so a single-ulp divergence
+// anywhere in any round fails the test. There are no golden constants
+// here on purpose: the contract is engine == oracle, not a frozen value —
 // tests/validate_identity_test.cc pins the absolute bits.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
+#include "best_response_oracle.h"
 #include "game/best_response.h"
 #include "game/fgt.h"
 #include "game/iegt.h"
+#include "game/init.h"
+#include "game/potential.h"
 #include "model/builder.h"
+#include "util/math_util.h"
 #include "util/rng.h"
 #include "util/simd.h"
 #include "vdps/catalog.h"
@@ -76,60 +84,168 @@ uint64_t DigestRun(const Instance& instance, const GameResult& result) {
   return d.value();
 }
 
+/// One FGT run stepped through `evaluate` / `apply` from the state's
+/// current joint strategy: the SolveFgt loop (sequential order, rounds
+/// until no worker moves), with every Evaluate outcome, every move and every round's
+/// P_dif / potential folded into the digest. The trace metrics are
+/// recomputed from scratch (sorting) on both sides, so they check the
+/// states, not the ledger.
+struct SteppedRun {
+  std::vector<std::pair<size_t, int32_t>> moves;
+  int rounds = 0;
+  std::vector<Route> routes;
+  uint64_t digest = 0;
+};
+
+SteppedRun StepFgt(
+    JointState& state, double alpha,
+    const std::function<BestResponseOutcome(size_t)>& evaluate,
+    const std::function<void(size_t, int32_t)>& apply) {
+  SteppedRun run;
+  Digest d;
+  for (int round = 1; round <= FgtConfig().max_rounds; ++round) {
+    size_t changes = 0;
+    for (size_t w = 0; w < state.payoffs().size(); ++w) {
+      const BestResponseOutcome out = evaluate(w);
+      d.Fold(static_cast<uint64_t>(static_cast<uint32_t>(out.strategy)));
+      d.Fold(out.utility);
+      d.Fold(out.incumbent_utility);
+      d.Fold(out.best_utility);
+      if (out.strategy == state.strategy_of(w)) continue;
+      apply(w, out.strategy);
+      run.moves.emplace_back(w, out.strategy);
+      ++changes;
+    }
+    run.rounds = round;
+    const double p_dif = MeanAbsolutePairwiseDifference(state.payoffs());
+    d.Fold(p_dif);
+    d.Fold(ExactPotential(state.payoffs(), alpha, p_dif));
+    if (changes == 0) break;
+  }
+  run.routes = state.ToAssignment().routes();
+  for (double p : state.payoffs()) d.Fold(p);
+  run.digest = d.value();
+  return run;
+}
+
+/// The IAU weightings the runs cover: the paper's, a negative alpha, and
+/// beta = 1 (infinite window: the walk degenerates to the full scan).
+const IauParams kWeightings[] = {{0.5, 0.5}, {-0.5, 0.5}, {1.0, 1.0}};
+
 class LedgerIdentitySeeds : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(LedgerIdentitySeeds, FgtLedgerAndRebuildRunsAreBitIdentical) {
   const uint64_t seed = GetParam();
   const Instance inst = RandomInstance(seed, 14, 6);
   const VdpsCatalog catalog = VdpsCatalog::Generate(inst, VdpsConfig{});
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+  for (const IauParams& params : kWeightings) {
+    // SolveFgt's seeded start, built before the engine binds to the state.
+    const uint64_t start = seed * 31 + 7;
+    const auto seeded_state = [&] {
+      JointState state(inst, catalog);
+      Rng rng(start);
+      RandomSingletonInit(state, rng);
+      return state;
+    };
+    JointState engine_state = seeded_state();
+    BestResponseEngine engine(engine_state, params);
+    const SteppedRun walk = StepFgt(
+        engine_state, params.alpha,
+        [&](size_t w) { return engine.Evaluate(w); },
+        [&](size_t w, int32_t idx) { engine.Apply(w, idx); });
+
+    JointState oracle_state = seeded_state();
+    const SteppedRun full = StepFgt(
+        oracle_state, params.alpha,
+        [&](size_t w) {
+          return testing_oracle::FullScanBestResponse(oracle_state, w,
+                                                      params);
+        },
+        [&](size_t w, int32_t idx) { oracle_state.Apply(w, idx); });
+
+    EXPECT_EQ(walk.moves, full.moves)
+        << "seed " << seed << " alpha " << params.alpha;
+    EXPECT_EQ(walk.digest, full.digest)
+        << "seed " << seed << " alpha " << params.alpha;
+
+    // The production solver follows the same trajectory.
     FgtConfig config;
-    config.record_trace = true;
-    config.seed = seed * 31 + 7;
-    config.engine.num_threads = threads;
-    config.engine.min_parallel_candidates = 1;
-    config.early_stop.patience = 3;  // exercise the shared-P_dif path too
-    const GameResult ledger_run = SolveFgt(inst, catalog, config);
-
-    FgtConfig rebuild = config;
-    rebuild.engine.use_payoff_ledger = false;
-    const GameResult rebuild_run = SolveFgt(inst, catalog, rebuild);
-
-    EXPECT_EQ(DigestRun(inst, ledger_run), DigestRun(inst, rebuild_run))
-        << "seed " << seed << " threads " << threads;
-    // The ledger path never rebuilds a view: every Evaluate is a sort it
-    // did not run, and the rebuild path reports no such savings.
-    EXPECT_GT(ledger_run.engine.ledger.sorts_eliminated, 0u);
-    EXPECT_EQ(rebuild_run.engine.ledger.scratch_reuses, 0u);
+    config.iau = params;
+    config.seed = start;
+    const GameResult solved = SolveFgt(inst, catalog, config);
+    EXPECT_EQ(solved.assignment.routes(), walk.routes);
+    EXPECT_EQ(solved.rounds, walk.rounds);
   }
 }
 
 TEST_P(LedgerIdentitySeeds, IegtLedgerAndRebuildRunsAreBitIdentical) {
+  // IEGT's evolution candidates come from the engine's incremental
+  // availability index; the reference loop re-derives them from
+  // JointState::IsAvailable and recomputes every traced metric by sorting.
   const uint64_t seed = GetParam() + 4000;
   const Instance inst = RandomInstance(seed, 14, 6);
   const VdpsCatalog catalog = VdpsCatalog::Generate(inst, VdpsConfig{});
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    IegtConfig config;
-    config.record_trace = true;
-    config.seed = seed * 17 + 3;
-    config.engine.num_threads = threads;
-    config.engine.min_parallel_candidates = 1;
-    config.early_stop.patience = 3;
-    const GameResult ledger_run = SolveIegt(inst, catalog, config);
+  IegtConfig config;
+  config.record_trace = true;
+  config.seed = seed * 17 + 3;
+  config.early_stop.patience = 3;  // exercise the shared-P_dif path too
+  const GameResult engine_run = SolveIegt(inst, catalog, config);
 
-    IegtConfig rebuild = config;
-    rebuild.engine.use_payoff_ledger = false;
-    const GameResult rebuild_run = SolveIegt(inst, catalog, rebuild);
-
-    EXPECT_EQ(DigestRun(inst, ledger_run), DigestRun(inst, rebuild_run))
-        << "seed " << seed << " threads " << threads;
+  JointState state(inst, catalog);
+  Rng rng(config.seed);
+  RandomSingletonInit(state, rng);
+  GameResult reference;
+  const auto snapshot = [&](int round, size_t changes) {
+    IterationStats s;
+    s.iteration = round;
+    s.payoff_difference = MeanAbsolutePairwiseDifference(state.payoffs());
+    s.average_payoff = Mean(state.payoffs());
+    s.num_changes = changes;
+    return s;
+  };
+  reference.trace.push_back(snapshot(0, 0));
+  EarlyStopMonitor early(config.early_stop);
+  std::vector<int32_t> better;
+  for (int round = 1; round <= config.max_rounds; ++round) {
+    const double avg = Mean(state.payoffs());
+    size_t changes = 0;
+    for (size_t w = 0; w < inst.num_workers(); ++w) {
+      const double payoff = state.payoff_of(w);
+      if (!(payoff < avg - kEps)) continue;
+      better.clear();
+      const std::vector<double>& payoffs = catalog.strategy_payoffs(w);
+      for (size_t i = 0; i < payoffs.size(); ++i) {
+        const int32_t idx = static_cast<int32_t>(i);
+        if (idx == state.strategy_of(w)) continue;
+        if (payoffs[i] <= payoff + kEps) break;
+        if (state.IsAvailable(w, idx)) better.push_back(idx);
+      }
+      if (!better.empty()) {
+        state.Apply(w, better[rng.Index(better.size())]);
+        ++changes;
+      }
+    }
+    reference.rounds = round;
+    reference.trace.push_back(snapshot(round, changes));
+    if (changes == 0) {
+      reference.converged = true;
+      break;
+    }
+    if (early.ShouldStop(reference.trace.back().payoff_difference)) {
+      reference.early_stopped = true;
+      break;
+    }
   }
+  reference.assignment = state.ToAssignment();
+  EXPECT_EQ(DigestRun(inst, engine_run), DigestRun(inst, reference))
+      << "seed " << seed;
 }
 
-// SIMD dispatch is the third axis of the identity contract: forcing the
-// scalar and AVX2 kernel paths (util/simd.h) must leave every whole-run
-// digest untouched at every thread count, for both solvers. Skips on hosts
-// without AVX2 (or FTA_SIMD=OFF builds), where only one path exists.
+// SIMD dispatch is the other axis of the identity contract: forcing the
+// scalar and AVX2 paths of util/simd.h (the ledger's prefix sums and the
+// sort-free P_dif) must leave every whole-run digest untouched, for both
+// solvers. Skips on hosts without AVX2 (or FTA_SIMD=OFF builds), where
+// only one path exists.
 TEST_P(LedgerIdentitySeeds, DispatchModesProduceBitIdenticalRuns) {
   if (!simd::CpuSupportsAvx2()) {
     GTEST_SKIP() << "AVX2 unavailable; single dispatch mode";
@@ -138,36 +254,22 @@ TEST_P(LedgerIdentitySeeds, DispatchModesProduceBitIdenticalRuns) {
   const uint64_t seed = GetParam() + 8000;
   const Instance inst = RandomInstance(seed, 14, 6);
   const VdpsCatalog catalog = VdpsCatalog::Generate(inst, VdpsConfig{});
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    FgtConfig fgt;
-    fgt.record_trace = true;
-    fgt.seed = seed * 13 + 5;
-    fgt.engine.num_threads = threads;
-    fgt.engine.min_parallel_candidates = 1;
-    IegtConfig iegt;
-    iegt.record_trace = true;
-    iegt.seed = seed * 13 + 5;
-    iegt.engine.num_threads = threads;
-    iegt.engine.min_parallel_candidates = 1;
+  FgtConfig fgt;
+  fgt.record_trace = true;
+  fgt.seed = seed * 13 + 5;
+  IegtConfig iegt;
+  iegt.record_trace = true;
+  iegt.seed = seed * 13 + 5;
 
-    ASSERT_TRUE(simd::SetSimdMode(simd::SimdMode::kScalar));
-    const uint64_t fgt_scalar = DigestRun(inst, SolveFgt(inst, catalog, fgt));
-    const uint64_t iegt_scalar =
-        DigestRun(inst, SolveIegt(inst, catalog, iegt));
+  ASSERT_TRUE(simd::SetSimdMode(simd::SimdMode::kScalar));
+  const uint64_t fgt_scalar = DigestRun(inst, SolveFgt(inst, catalog, fgt));
+  const uint64_t iegt_scalar = DigestRun(inst, SolveIegt(inst, catalog, iegt));
 
-    ASSERT_TRUE(simd::SetSimdMode(simd::SimdMode::kAvx2));
-    const GameResult fgt_avx2 = SolveFgt(inst, catalog, fgt);
-    const GameResult iegt_avx2 = SolveIegt(inst, catalog, iegt);
-
-    EXPECT_EQ(fgt_scalar, DigestRun(inst, fgt_avx2))
-        << "FGT seed " << seed << " threads " << threads;
-    EXPECT_EQ(iegt_scalar, DigestRun(inst, iegt_avx2))
-        << "IEGT seed " << seed << " threads " << threads;
-    // The AVX2 runs must actually have exercised the AVX2 kernels.
-    EXPECT_EQ(fgt_avx2.engine.simd_avx2_batches,
-              fgt_avx2.engine.simd_batches);
-    EXPECT_GT(fgt_avx2.engine.simd_batches, 0u);
-  }
+  ASSERT_TRUE(simd::SetSimdMode(simd::SimdMode::kAvx2));
+  EXPECT_EQ(fgt_scalar, DigestRun(inst, SolveFgt(inst, catalog, fgt)))
+      << "FGT seed " << seed;
+  EXPECT_EQ(iegt_scalar, DigestRun(inst, SolveIegt(inst, catalog, iegt)))
+      << "IEGT seed " << seed;
   simd::SetSimdMode(before);
 }
 

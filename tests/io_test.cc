@@ -164,6 +164,45 @@ TEST(DatasetIoTest, RejectsInvalidTaskExpiry) {
       DeserializeInstances("C,0,0,5\nD,1,1\nT,0,-2,1\n").ok());
 }
 
+TEST(DatasetIoTest, RejectsNonFiniteFields) {
+  // Non-finite coordinates and rewards would reach catalog payoffs, where
+  // a NaN breaks the strategy sort's strict weak ordering.
+  for (const char* bad : {"nan", "inf", "-inf"}) {
+    const std::string v(bad);
+    const std::string ok_tail = "D,1,1\nT,0,5,1\nW,1,1,3\n";
+    EXPECT_FALSE(DeserializeInstances("C," + v + ",0,5\n" + ok_tail).ok())
+        << "center x " << v;
+    EXPECT_FALSE(DeserializeInstances("C,0,0," + v + "\n" + ok_tail).ok())
+        << "speed " << v;
+    EXPECT_FALSE(
+        DeserializeInstances("C,0,0,5\nD," + v + ",1\nT,0,5,1\n").ok())
+        << "delivery point x " << v;
+    EXPECT_FALSE(
+        DeserializeInstances("C,0,0,5\nD,1,1\nT,0,5," + v + "\n").ok())
+        << "reward " << v;
+    EXPECT_FALSE(
+        DeserializeInstances("C,0,0,5\nD,1,1\nW,1," + v + ",3\n").ok())
+        << "worker y " << v;
+  }
+}
+
+TEST(DatasetIoTest, RejectsOutOfRangeIntegerFieldsBeforeCasting) {
+  // Casting NaN, infinity or 1e30 to an integer is undefined behaviour,
+  // and a fractional value would truncate; the loader rejects them first.
+  for (const char* bad : {"nan", "inf", "1e30", "0.5"}) {
+    const std::string v(bad);
+    EXPECT_FALSE(
+        DeserializeInstances("C,0,0,5\nD,1,1\nT," + v + ",5,1\n").ok())
+        << "task delivery point " << v;
+    EXPECT_FALSE(
+        DeserializeInstances("C,0,0,5\nD,1,1\nW,1,1," + v + "\n").ok())
+        << "worker maxDP " << v;
+  }
+  // The largest representable maxDP still loads.
+  EXPECT_TRUE(
+      DeserializeInstances("C,0,0,5\nD,1,1\nW,1,1,4294967295\n").ok());
+}
+
 TEST(DatasetIoTest, EmptyTextGivesEmptyMulti) {
   const auto multi = DeserializeInstances("");
   ASSERT_TRUE(multi.ok());

@@ -1,10 +1,8 @@
-// Adversarial bit-identity suite of the SIMD kernel layer (util/simd.h,
-// game/iau_kernels.h): the scalar and AVX2 implementations must agree bit
-// for bit on every input — including exact ties, signed zeros, denormals,
-// and infinities — and the batched IAU kernel must reproduce the single
-// SortedIau bit for bit at every batch size. The AVX2 halves skip
-// gracefully on hosts without AVX2 (or FTA_SIMD=OFF builds), where the
-// dispatch layer has only one path to agree with itself.
+// Adversarial bit-identity suite of the SIMD kernel layer (util/simd.h):
+// the scalar and AVX2 implementations must agree bit for bit on every
+// input — including exact ties, signed zeros, denormals, and infinities.
+// The AVX2 halves skip gracefully on hosts without AVX2 (or FTA_SIMD=OFF
+// builds), where the dispatch layer has only one path to agree with itself.
 
 #include <gtest/gtest.h>
 
@@ -12,12 +10,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <vector>
 
-#include "game/iau.h"
-#include "game/iau_kernels.h"
 #include "util/math_util.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -26,7 +21,7 @@ namespace fta {
 namespace {
 
 // The adversarial size ladder: empty, sub-block, exact block, block+tail,
-// and the |W| ≈ 256 regime the bench gate measures (255/256/257 cover the
+// and the |W| ≈ 256 regime of the game bench gate (255/256/257 cover the
 // full-blocks, exact-multiple, and trailing-lane cases).
 const size_t kSizes[] = {0, 1, 3, 4, 5, 255, 256, 257};
 
@@ -180,277 +175,6 @@ TEST(PairwiseDiffTest, MeanAbsolutePairwiseDifferenceIsModeInvariant) {
   ScopedSimdMode scoped(simd::SimdMode::kAvx2);
   ASSERT_TRUE(scoped.ok());
   EXPECT_EQ(Bits(scalar_result), Bits(MeanAbsolutePairwiseDifferenceSorted(v)));
-}
-
-// ------------------------------------------------------- batched ranks --
-
-TEST(CountLessBatchTest, ScalarEqualsLowerBoundOnTiesAndSpecials) {
-  std::vector<double> values = AdversarialSorted(7, 64);
-  values.push_back(std::numeric_limits<double>::infinity());
-  values.insert(values.begin(), -std::numeric_limits<double>::infinity());
-  std::vector<double> owns = values;  // every tie, both infinities
-  owns.push_back(0.0);
-  owns.push_back(-0.0);
-  owns.push_back(std::numeric_limits<double>::denorm_min());
-  std::vector<uint32_t> counts(owns.size(), 0);
-  iau_internal::CountLessBatchScalar(values.data(), values.size(),
-                                     owns.data(), owns.size(), counts.data());
-  for (size_t j = 0; j < owns.size(); ++j) {
-    const auto expect = static_cast<uint32_t>(
-        std::lower_bound(values.begin(), values.end(), owns[j]) -
-        values.begin());
-    EXPECT_EQ(counts[j], expect) << "own=" << owns[j];
-  }
-}
-
-TEST(CountLessBatchTest, ScalarAndAvx2AgreeExactly) {
-  if (!simd::CpuSupportsAvx2()) GTEST_SKIP() << "AVX2 unavailable";
-#ifdef FTA_SIMD_AVX2
-  for (size_t n : kSizes) {
-    std::vector<double> values = AdversarialSorted(41 + n, n);
-    if (n >= 6) {
-      values.front() = -std::numeric_limits<double>::infinity();
-      values.back() = std::numeric_limits<double>::infinity();
-    }
-    for (size_t count : kSizes) {
-      Rng rng(n * 1000 + count);
-      std::vector<double> owns(count);
-      for (size_t j = 0; j < count; ++j) {
-        // Half exact ties against the value array, half fresh draws.
-        owns[j] = (n > 0 && rng.Index(2) == 0) ? values[rng.Index(n)]
-                                               : rng.Uniform(-5.0, 5.0);
-      }
-      std::vector<uint32_t> scalar(count + 1, 0);
-      std::vector<uint32_t> avx2(count + 1, 0);
-      iau_internal::CountLessBatchScalar(values.data(), values.size(),
-                                         owns.data(), count, scalar.data());
-      iau_internal::CountLessBatchAvx2(values.data(), values.size(),
-                                       owns.data(), count, avx2.data());
-      for (size_t j = 0; j < count; ++j) {
-        ASSERT_EQ(scalar[j], avx2[j])
-            << "n=" << n << " count=" << count << " j=" << j;
-      }
-    }
-  }
-#endif
-}
-
-TEST(CountLessBatchSortedDescTest, MergeEqualsLowerBoundOnBothPaths) {
-  for (size_t n : kSizes) {
-    std::vector<double> values = AdversarialSorted(61 + n, n);
-    if (n >= 6) {
-      values.front() = -std::numeric_limits<double>::infinity();
-      values.back() = std::numeric_limits<double>::infinity();
-    }
-    for (size_t count : kSizes) {
-      if (count == 0) continue;
-      Rng rng(n * 4001 + count);
-      std::vector<double> owns(count);
-      for (size_t j = 0; j < count; ++j) {
-        // Half exact ties against the value array (tie runs included), half
-        // fresh draws; sorted descending to satisfy the precondition.
-        owns[j] = (n > 0 && rng.Index(2) == 0) ? values[rng.Index(n)]
-                                               : rng.Uniform(-5.0, 5.0);
-      }
-      if (count >= 4) {
-        owns[rng.Index(count)] = 0.0;
-        owns[rng.Index(count)] = -0.0;
-      }
-      std::sort(owns.begin(), owns.end(), std::greater<double>());
-      ASSERT_TRUE(iau_internal::IsNonIncreasing(owns.data(), count));
-      std::vector<uint32_t> merged(count, 0);
-      iau_internal::CountLessBatchSortedDescScalar(
-          values.data(), n, owns.data(), count, merged.data());
-      for (size_t j = 0; j < count; ++j) {
-        const auto expect = static_cast<uint32_t>(
-            std::lower_bound(values.begin(), values.end(), owns[j]) -
-            values.begin());
-        ASSERT_EQ(merged[j], expect)
-            << "scalar merge n=" << n << " count=" << count << " j=" << j;
-      }
-#ifdef FTA_SIMD_AVX2
-      if (simd::CpuSupportsAvx2()) {
-        std::vector<uint32_t> avx2(count, 0);
-        iau_internal::CountLessBatchSortedDescAvx2(
-            values.data(), n, owns.data(), count, avx2.data());
-        for (size_t j = 0; j < count; ++j) {
-          ASSERT_EQ(avx2[j], merged[j])
-              << "avx2 merge n=" << n << " count=" << count << " j=" << j;
-        }
-      }
-#endif
-    }
-  }
-}
-
-TEST(CountLessBatchSortedDescTest, ConstantOwnsAndAllTiesStopExactly) {
-  // Every own equal, and equal to a long tie run in the values: the shared
-  // pointer must stop at the FIRST tie (lower_bound), not inside the run.
-  const std::vector<double> values = {-1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 3.0};
-  const std::vector<double> owns(9, 2.0);
-  std::vector<uint32_t> counts(owns.size(), 77);
-  CountLessBatchSortedDesc(values.data(), values.size(), owns.data(),
-                           owns.size(), counts.data());
-  for (uint32_t c : counts) EXPECT_EQ(c, 1u);
-}
-
-// -------------------------------------------------------- batched IAUs --
-
-TEST(SortedIauBatchTest, MatchesSingleSortedIauBitwiseInBothModes) {
-  IauParams params;
-  params.alpha = 0.4;
-  params.beta = 0.25;
-  std::vector<simd::SimdMode> modes = {simd::SimdMode::kScalar};
-  if (simd::CpuSupportsAvx2()) modes.push_back(simd::SimdMode::kAvx2);
-  for (simd::SimdMode mode : modes) {
-    ScopedSimdMode scoped(mode);
-    ASSERT_TRUE(scoped.ok());
-    for (size_t n : kSizes) {
-      const std::vector<double> values = AdversarialSorted(3 + n, n);
-      std::vector<double> prefix(n + 1, 0.0);
-      simd::BlockedPrefixSum(values.data(), n, prefix.data());
-      for (size_t count : kSizes) {
-        Rng rng(n * 31 + count);
-        std::vector<double> owns(count);
-        for (size_t j = 0; j < count; ++j) {
-          owns[j] = (n > 0 && rng.Index(2) == 0) ? values[rng.Index(n)]
-                                                 : rng.Uniform(-5.0, 5.0);
-        }
-        std::vector<double> out(count, 0.0);
-        SortedIauBatch(values.data(), n, prefix.data(), params, owns.data(),
-                       count, out.data());
-        for (size_t j = 0; j < count; ++j) {
-          ASSERT_EQ(Bits(out[j]),
-                    Bits(SortedIau(values.data(), n, prefix.data(), owns[j],
-                                   params)))
-              << simd::SimdModeName(mode) << " n=" << n << " count=" << count
-              << " j=" << j;
-        }
-      }
-    }
-  }
-}
-
-TEST(SortedIauBatchTest, AgreesWithNaiveIauOracle) {
-  IauParams params;  // defaults
-  const std::vector<double> values = AdversarialSorted(13, 100);
-  std::vector<double> prefix(values.size() + 1, 0.0);
-  simd::BlockedPrefixSum(values.data(), values.size(), prefix.data());
-  Rng rng(99);
-  std::vector<double> owns(37);
-  for (double& o : owns) o = rng.Uniform(-5.0, 5.0);
-  std::vector<double> out(owns.size(), 0.0);
-  SortedIauBatch(values.data(), values.size(), prefix.data(), params,
-                 owns.data(), owns.size(), out.data());
-  const std::vector<double> others(values.begin(), values.end());
-  for (size_t j = 0; j < owns.size(); ++j) {
-    EXPECT_NEAR(out[j], Iau(owns[j], others, params), 1e-12) << "j=" << j;
-  }
-}
-
-// ------------------------------------------------------- fused argmax --
-
-/// The engine's pre-fusion semantics: per-lane SortedIau, folded in
-/// ascending position with strictly-greater replacement (earliest max).
-size_t ArgmaxOracle(const double* values, size_t n, const double* prefix,
-                    const IauParams& params, const double* owns, size_t count,
-                    double* best_u) {
-  size_t best = 0;
-  *best_u = SortedIau(values, n, prefix, owns[0], params);
-  for (size_t j = 1; j < count; ++j) {
-    const double u = SortedIau(values, n, prefix, owns[j], params);
-    if (u > *best_u) {
-      *best_u = u;
-      best = j;
-    }
-  }
-  return best;
-}
-
-TEST(SortedIauBatchArgmaxTest, MatchesSequentialFoldBitwiseInBothModes) {
-  IauParams params;
-  params.alpha = 0.3;
-  params.beta = 0.2;
-  std::vector<simd::SimdMode> modes = {simd::SimdMode::kScalar};
-  if (simd::CpuSupportsAvx2()) modes.push_back(simd::SimdMode::kAvx2);
-  // Counts straddle the internal 128-lane chunking (127/128/129/300) as
-  // well as the vector-width edges; descending owns exercise the merge
-  // ranks, shuffled owns the generic fallback.
-  const size_t kCounts[] = {1, 2, 3, 4, 5, 8, 127, 128, 129, 300};
-  for (simd::SimdMode mode : modes) {
-    ScopedSimdMode scoped(mode);
-    ASSERT_TRUE(scoped.ok());
-    for (size_t n : kSizes) {
-      const std::vector<double> values = AdversarialSorted(17 + n, n);
-      std::vector<double> prefix(n + 1, 0.0);
-      simd::BlockedPrefixSum(values.data(), n, prefix.data());
-      for (size_t count : kCounts) {
-        Rng rng(n * 77 + count);
-        std::vector<double> owns(count);
-        for (size_t j = 0; j < count; ++j) {
-          // Exact ties between lanes (Index(8) buckets) force the
-          // earliest-position tie-break; ties against values hit rank edges.
-          const double tie_pool = -3.0 + static_cast<double>(rng.Index(8));
-          owns[j] = rng.Index(2) == 0
-                        ? tie_pool
-                        : (n > 0 && rng.Index(2) == 0 ? values[rng.Index(n)]
-                                                      : rng.Uniform(-5.0, 5.0));
-        }
-        for (int variant = 0; variant < 2; ++variant) {
-          if (variant == 0) {
-            std::sort(owns.begin(), owns.end(), std::greater<double>());
-          }  // variant 1 keeps the shuffled (generic-rank) order
-          double expect_u = 0.0;
-          const size_t expect_pos =
-              ArgmaxOracle(values.data(), n, prefix.data(), params,
-                           owns.data(), count, &expect_u);
-          double got_u = 0.0;
-          const size_t got_pos =
-              SortedIauBatchArgmax(values.data(), n, prefix.data(), params,
-                                   owns.data(), count, &got_u);
-          ASSERT_EQ(got_pos, expect_pos)
-              << simd::SimdModeName(mode) << " n=" << n << " count=" << count
-              << " variant=" << variant;
-          ASSERT_EQ(Bits(got_u), Bits(expect_u))
-              << simd::SimdModeName(mode) << " n=" << n << " count=" << count
-              << " variant=" << variant;
-        }
-      }
-    }
-  }
-}
-
-TEST(SortedIauBatchArgmaxTest, AllTiedLanesPickPositionZero) {
-  IauParams params;
-  const std::vector<double> values = AdversarialSorted(5, 64);
-  std::vector<double> prefix(values.size() + 1, 0.0);
-  simd::BlockedPrefixSum(values.data(), values.size(), prefix.data());
-  std::vector<simd::SimdMode> modes = {simd::SimdMode::kScalar};
-  if (simd::CpuSupportsAvx2()) modes.push_back(simd::SimdMode::kAvx2);
-  for (simd::SimdMode mode : modes) {
-    ScopedSimdMode scoped(mode);
-    ASSERT_TRUE(scoped.ok());
-    for (size_t count : {size_t{1}, size_t{4}, size_t{9}, size_t{130}}) {
-      const std::vector<double> owns(count, 1.5);
-      double u = 0.0;
-      EXPECT_EQ(SortedIauBatchArgmax(values.data(), values.size(),
-                                     prefix.data(), params, owns.data(), count,
-                                     &u),
-                size_t{0})
-          << simd::SimdModeName(mode) << " count=" << count;
-    }
-  }
-}
-
-TEST(SortedIauBatchArgmaxTest, EmptyOthersReducesToEarliestMaxPayoff) {
-  IauParams params;
-  const double prefix0 = 0.0;
-  const std::vector<double> owns = {1.0, 3.5, 3.5, 2.0};
-  double u = 0.0;
-  EXPECT_EQ(SortedIauBatchArgmax(nullptr, 0, &prefix0, params, owns.data(),
-                                 owns.size(), &u),
-            size_t{1});
-  EXPECT_EQ(Bits(u), Bits(3.5));
 }
 
 // ------------------------------------------------------------ dispatch --

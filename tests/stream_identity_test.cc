@@ -44,8 +44,6 @@ StreamConfig SmallStream(uint64_t seed, size_t threads, StreamSolver solver) {
   config.vdps.epsilon = 2.0;
   config.vdps.max_set_size = 3;
   config.vdps.num_threads = threads;
-  config.fgt.engine.num_threads = threads;
-  config.iegt.engine.num_threads = threads;
   config.seed = seed;
   config.digest_catalog = true;
   return config;
@@ -76,8 +74,8 @@ TEST(StreamIdentityTest, WarmEqualsColdSeededAcrossSeedsThreadsSolvers) {
         EXPECT_EQ(warm_digest, cold_digest)
             << "seed=" << seed << " threads=" << threads
             << " solver=" << StreamSolverName(solver);
-        // Thread count must not change the stream either (catalogs and
-        // best responses are bit-identical at any parallelism).
+        // The catalog's thread count must not change the stream either
+        // (catalogs are bit-identical at any parallelism).
         if (!have_reference) {
           reference = cold_digest;
           have_reference = true;

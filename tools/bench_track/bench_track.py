@@ -49,9 +49,8 @@ TRACKED = [
     ("obs", "overhead_fraction", "lower"),
     ("obs", "stream_telemetry.overhead_fraction", "lower"),
     ("obs", "stream_telemetry.ontick_ns", "lower"),
-    ("game", "ledger.ns_per_evaluate", "lower"),
-    ("game", "speedup", "higher"),
-    ("simd", "speedup", "higher"),
+    ("game", "walk.ns_per_evaluate", "lower"),
+    ("game", "walk_speedup", "higher"),
     ("stream", "warm_cold_ratio", "lower"),
     ("serve", "serve8.throughput_assignments_per_s", "higher"),
     ("serve", "serve8.p99_latency_ms", "lower"),

@@ -31,6 +31,16 @@ def obs_bench(sha, overhead=0.002, stream_overhead=0.004):
 
 def game_bench(sha, ns_per_evaluate=200.0, speedup=6.0):
     return {
+        "bench": "game_best_response", "meta": meta(sha),
+        "walk": {"ns_per_evaluate": ns_per_evaluate},
+        "full_scan": {"ns_per_evaluate": ns_per_evaluate * speedup},
+        "walk_speedup": speedup, "pass": True,
+    }
+
+
+def legacy_game_bench(sha, ns_per_evaluate=200.0, speedup=6.0):
+    """The retired ledger-vs-rebuild gate's document shape."""
+    return {
         "bench": "game_ledger", "meta": meta(sha),
         "ledger": {"ns_per_evaluate": ns_per_evaluate},
         "speedup": speedup, "pass": True,
@@ -165,6 +175,18 @@ class BenchTrackTest(unittest.TestCase):
             "s3", game=game_bench("s3", ns_per_evaluate=300.0)), 0)
         self.assertEqual(bench_track.main(
             ["check", "--history", self.history]), 1)
+
+    def test_retired_game_series_is_not_compared_with_the_new_gate(self):
+        # History written by the retired ledger gate (different instance,
+        # different metric names) must not serve as the new gate's
+        # baseline: a new run far "worse" than the old numbers passes.
+        for sha in ("s1", "s2", "s3"):
+            self.assertEqual(self.collect(
+                sha, game=legacy_game_bench(sha, ns_per_evaluate=10.0,
+                                            speedup=50.0)), 0)
+        self.write_benches(
+            "s4", game=game_bench("s4", ns_per_evaluate=300.0, speedup=3.0))
+        self.assertEqual(self.check(), 0)
 
     def test_malformed_history_exits_2(self):
         with open(self.history, "w", encoding="utf-8") as f:

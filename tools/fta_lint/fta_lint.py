@@ -55,13 +55,13 @@ tools/fta_lint/testdata/ and pin every diagnostic exactly.
 
   raw-simd-intrinsics
       A raw vector intrinsic (`_mm256_*` and friends) or an intrinsic
-      header include (`<immintrin.h>`) outside the sanctioned kernel TUs
-      (src/util/simd_avx2.cc, src/game/iau_kernels_avx2.cc). Only those
-      TUs are compiled with -mavx2 and -ffp-contract=off; an intrinsic
-      anywhere else either fails to compile in the portable default build
-      or — worse — compiles into a TU whose contraction settings break the
-      scalar/AVX2 bit-identity contract (DESIGN.md §11). Route new vector
-      code through util/simd.h / game/iau_kernels.h dispatch instead.
+      header include (`<immintrin.h>`) outside the sanctioned kernel TU
+      (src/util/simd_avx2.cc). Only that TU is compiled with -mavx2 and
+      -ffp-contract=off; an intrinsic anywhere else either fails to
+      compile in the portable default build or — worse — compiles into a
+      TU whose contraction settings break the scalar/AVX2 bit-identity
+      contract (DESIGN.md §11). Route new vector code through util/simd.h
+      dispatch instead.
 
   raw-mutex
       A raw standard-library locking primitive (std::mutex and variants,
@@ -135,12 +135,9 @@ SORTED_METRIC = re.compile(
 # Intrinsic calls (`_mm_`, `_mm256_`, `_mm512_`, ...) and intrinsic-header
 # includes. Type names like __m256d do not match (no `_mm<digits>_` run).
 SIMD_INTRINSIC = re.compile(r"#\s*include\s*<\w*intrin\.h>|\b_mm\d*_\w+")
-# The only TUs allowed to hold raw intrinsics: the per-TU -mavx2 kernels
-# behind the util/simd.h dispatch layer.
-SIMD_SANCTIONED = (
-    "src/util/simd_avx2.cc",
-    "src/game/iau_kernels_avx2.cc",
-)
+# The only TU allowed to hold raw intrinsics: the -mavx2 kernels behind
+# the util/simd.h dispatch layer.
+SIMD_SANCTIONED = ("src/util/simd_avx2.cc",)
 
 # Direct clock reads banned from the replay-deterministic layers. The
 # chrono alternative covers every std clock; the libc alternatives cover
@@ -549,10 +546,9 @@ class RawSimdIntrinsicsRule(Rule):
             for m in SIMD_INTRINSIC.finditer(line):
                 self.report(
                     scan, i,
-                    f"'{m.group(0).strip()}' outside a sanctioned kernel "
-                    "TU; raw SIMD belongs in src/util/simd_avx2.cc / "
-                    "src/game/iau_kernels_avx2.cc behind the util/simd.h "
-                    "dispatch layer (DESIGN.md §11)",
+                    f"'{m.group(0).strip()}' outside the sanctioned "
+                    "kernel TU; raw SIMD belongs in src/util/simd_avx2.cc "
+                    "behind the util/simd.h dispatch layer (DESIGN.md §11)",
                     out,
                 )
 

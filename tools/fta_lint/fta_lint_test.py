@@ -130,18 +130,17 @@ class ViolationFixtures(unittest.TestCase):
             "Clang thread-safety analysis can check the lock against "
             "FTA_GUARDED_BY state (DESIGN.md §13)",
             "src/simd_leak.cc:2: [raw-simd-intrinsics] "
-            "'#include <immintrin.h>' outside a sanctioned kernel TU; raw "
-            "SIMD belongs in src/util/simd_avx2.cc / "
-            "src/game/iau_kernels_avx2.cc behind the util/simd.h dispatch "
-            "layer (DESIGN.md §11)",
+            "'#include <immintrin.h>' outside the sanctioned kernel TU; "
+            "raw SIMD belongs in src/util/simd_avx2.cc behind the "
+            "util/simd.h dispatch layer (DESIGN.md §11)",
             "src/simd_leak.cc:7: [raw-simd-intrinsics] '_mm256_loadu_pd' "
-            "outside a sanctioned kernel TU; raw SIMD belongs in "
-            "src/util/simd_avx2.cc / src/game/iau_kernels_avx2.cc behind "
-            "the util/simd.h dispatch layer (DESIGN.md §11)",
+            "outside the sanctioned kernel TU; raw SIMD belongs in "
+            "src/util/simd_avx2.cc behind the util/simd.h dispatch layer "
+            "(DESIGN.md §11)",
             "src/simd_leak.cc:9: [raw-simd-intrinsics] '_mm256_storeu_pd' "
-            "outside a sanctioned kernel TU; raw SIMD belongs in "
-            "src/util/simd_avx2.cc / src/game/iau_kernels_avx2.cc behind "
-            "the util/simd.h dispatch layer (DESIGN.md §11)",
+            "outside the sanctioned kernel TU; raw SIMD belongs in "
+            "src/util/simd_avx2.cc behind the util/simd.h dispatch layer "
+            "(DESIGN.md §11)",
             "src/unordered_leak.cc:16: [unordered-iteration] range-for over "
             "an unordered container feeds a result container without a "
             "subsequent sort or an order-invariant fold; bucket order will "
