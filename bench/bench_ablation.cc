@@ -1,11 +1,15 @@
 // Ablations for the design choices DESIGN.md calls out (not in the paper):
 //   1. MPTA candidate cap K — quality/width/CPU trade-off of the top-K
 //      restriction plus greedy completion.
-//   2. IAU weights alpha = beta — how strongly inequity aversion trades
-//      average payoff for fairness in FGT (alpha = 0 is a fairness-blind
-//      best-response game).
+//   2. IAU envy weight beta at alpha = 0.5 — how strongly inequity
+//      aversion trades average payoff for fairness in FGT. Each row prints
+//      the IAU slope s = 1 + min(alpha, 0) - max(beta, 0): while s > 0 IAU
+//      is increasing in the worker's own payoff, so best responses are
+//      payoff argmaxes and beta cannot change FGT's trajectory.
 //   3. Pareto frontier depth — how many (time, slack) sequence options per
 //      C-VDPS are worth keeping for far-from-center workers.
+
+#include <algorithm>
 
 #include "bench/common.h"
 
@@ -37,15 +41,19 @@ void AblateMptaCandidates(const Instance& instance) {
 }
 
 void AblateIauWeights(const Instance& instance) {
-  ResultTable t("Ablation — FGT inequity-aversion weight (alpha = beta)",
-                {"alpha", "P_dif", "avg payoff", "rounds"});
+  ResultTable t("Ablation — FGT envy weight beta (alpha = 0.5)",
+                {"alpha", "beta", "slope s", "P_dif", "avg payoff",
+                 "rounds"});
   const VdpsCatalog catalog =
       VdpsCatalog::Generate(instance, GmOptions().vdps);
-  for (double alpha : {0.0, 0.25, 0.5, 0.75, 1.0}) {
+  const double alpha = 0.5;
+  for (double beta : {0.0, 0.5, 1.0, 1.5, 2.0, 4.0}) {
     FgtConfig config;
-    config.iau = IauParams{alpha, alpha};
+    config.iau = IauParams{alpha, beta};
+    const double slope = 1.0 + std::min(alpha, 0.0) - std::max(beta, 0.0);
     const GameResult r = SolveFgt(instance, catalog, config);
-    t.AddRow({StrFormat("%.2f", alpha),
+    t.AddRow({StrFormat("%.2f", alpha), StrFormat("%.2f", beta),
+              StrFormat("%.2f", slope),
               StrFormat("%.4f", r.assignment.PayoffDifference(instance)),
               StrFormat("%.4f", r.assignment.AveragePayoff(instance)),
               StrFormat("%d", r.rounds)});

@@ -15,11 +15,20 @@
 //    routes), so their transient route traffic is zero by construction.
 //    (Parallel runs additionally copy the few set keys that multiple
 //    shards discover independently; the gate measures the serial run.)
+//  - the strategies phase (per-worker strategy lists plus the inverted
+//    index) agrees with a bench-local replica of the pre-compact
+//    materialization on every strategy and every index slot, and the
+//    catalog's phase is >= 1.5x faster than the replica. The replica runs
+//    every (worker, entry) pair through BestOptionFor, copies each
+//    strategy's route, sorts the route-owning structs, and grows one
+//    index vector per delivery point.
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
 #include "bench/common.h"
+#include "vdps/catalog_internal.h"
 
 namespace fta {
 namespace bench {
@@ -52,7 +61,7 @@ bool CatalogsIdentical(const VdpsCatalog& a, const VdpsCatalog& b) {
     const auto& sb = b.strategies(w);
     if (sa.size() != sb.size()) return false;
     for (size_t i = 0; i < sa.size(); ++i) {
-      if (sa[i].entry_id != sb[i].entry_id || sa[i].route != sb[i].route ||
+      if (sa[i].entry_id != sb[i].entry_id || sa[i].option != sb[i].option ||
           sa[i].total_time != sb[i].total_time ||
           sa[i].payoff != sb[i].payoff) {
         return false;
@@ -63,8 +72,8 @@ bool CatalogsIdentical(const VdpsCatalog& a, const VdpsCatalog& b) {
     return false;
   }
   for (uint32_t dp = 0; dp < a.num_indexed_delivery_points(); ++dp) {
-    const auto& ta = a.strategies_touching(dp);
-    const auto& tb = b.strategies_touching(dp);
+    const auto ta = a.strategies_touching(dp);
+    const auto tb = b.strategies_touching(dp);
     if (ta.size() != tb.size()) return false;
     for (size_t i = 0; i < ta.size(); ++i) {
       if (ta[i].worker != tb[i].worker || ta[i].strategy != tb[i].strategy) {
@@ -73,6 +82,99 @@ bool CatalogsIdentical(const VdpsCatalog& a, const VdpsCatalog& b) {
     }
   }
   return true;
+}
+
+/// One strategy as the pre-compact catalog stored it: with its own copy
+/// of the route.
+struct LegacyStrategy {
+  uint32_t entry_id = 0;
+  Route route;
+  double total_time = 0.0;
+  double total_reward = 0.0;
+  double payoff = 0.0;
+};
+
+struct LegacyStrategies {
+  std::vector<std::vector<LegacyStrategy>> strategies;
+  std::vector<std::vector<StrategyRef>> touching;
+};
+
+/// The strategies phase as it stood before the compact layout.
+LegacyStrategies LegacyMaterialize(const Instance& instance,
+                                   const std::vector<CVdpsEntry>& entries) {
+  LegacyStrategies out;
+  out.strategies.resize(instance.num_workers());
+  for (size_t w = 0; w < instance.num_workers(); ++w) {
+    const double offset = instance.WorkerToCenterTime(w);
+    const uint32_t max_dp = instance.worker(w).max_delivery_points;
+    std::vector<LegacyStrategy>& sts = out.strategies[w];
+    for (uint32_t e = 0; e < entries.size(); ++e) {
+      if (entries[e].dps.size() > max_dp) continue;
+      const SequenceOption* opt = entries[e].BestOptionFor(offset);
+      if (opt == nullptr) continue;
+      LegacyStrategy st;
+      st.entry_id = e;
+      st.route = opt->route;
+      st.total_time = offset + opt->center_time;
+      st.total_reward = entries[e].total_reward;
+      st.payoff = st.total_reward /
+                  std::max(st.total_time, vdps_internal::kMinTravelTime);
+      sts.push_back(std::move(st));
+    }
+    std::sort(sts.begin(), sts.end(),
+              [](const LegacyStrategy& a, const LegacyStrategy& b) {
+                if (a.payoff != b.payoff) return a.payoff > b.payoff;
+                return a.entry_id < b.entry_id;
+              });
+  }
+  out.touching.resize(instance.num_delivery_points());
+  for (uint32_t w = 0; w < out.strategies.size(); ++w) {
+    for (size_t i = 0; i < out.strategies[w].size(); ++i) {
+      for (uint32_t dp : entries[out.strategies[w][i].entry_id].dps) {
+        out.touching[dp].push_back(StrategyRef{w, static_cast<int32_t>(i)});
+      }
+    }
+  }
+  return out;
+}
+
+/// True when the replica and the catalog agree on every strategy (entry,
+/// route, total time, reward and payoff, doubles bit for bit) and on every
+/// inverted-index slot.
+bool LegacyAgrees(const LegacyStrategies& legacy, const VdpsCatalog& c) {
+  if (legacy.strategies.size() != c.num_workers()) return false;
+  for (size_t w = 0; w < c.num_workers(); ++w) {
+    const auto& want = legacy.strategies[w];
+    const auto& got = c.strategies(w);
+    if (want.size() != got.size()) return false;
+    for (size_t i = 0; i < want.size(); ++i) {
+      if (want[i].entry_id != got[i].entry_id ||
+          want[i].route != c.route(w, i) ||
+          want[i].total_time != got[i].total_time ||
+          want[i].total_reward != got[i].total_reward ||
+          want[i].payoff != got[i].payoff) {
+        return false;
+      }
+    }
+  }
+  if (legacy.touching.size() != c.num_indexed_delivery_points()) return false;
+  for (uint32_t dp = 0; dp < legacy.touching.size(); ++dp) {
+    const auto got = c.strategies_touching(dp);
+    const auto& want = legacy.touching[dp];
+    if (want.size() != got.size()) return false;
+    for (size_t i = 0; i < want.size(); ++i) {
+      if (want[i].worker != got[i].worker ||
+          want[i].strategy != got[i].strategy) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 void AppendCounters(std::ostringstream& json, const GenerationCounters& g) {
@@ -222,6 +324,42 @@ void Main() {
        << ", \"legacy_total_allocs_per_entry\": "
        << StrFormat("%.3f",
                     static_cast<double>(g.legacy_route_allocs) / entries_d)
+       << "},\n";
+
+  // Strategies-phase gate: the catalog's own timing of the phase (its
+  // strategies_ms, which stops before anything is freed) against the
+  // replica timed up to its return, alternating, median of kReps each.
+  constexpr int kReps = 201;
+  std::vector<double> catalog_ms;
+  std::vector<double> legacy_ms;
+  bool agrees = true;
+  for (int rep = 0; rep < kReps; ++rep) {
+    const VdpsCatalog catalog = VdpsCatalog::Generate(instance, base);
+    catalog_ms.push_back(catalog.generation().strategies_ms);
+    Stopwatch sw;
+    const LegacyStrategies legacy =
+        LegacyMaterialize(instance, catalog.entries());
+    legacy_ms.push_back(sw.ElapsedMillis());
+    if (rep == 0) agrees = LegacyAgrees(legacy, catalog);
+  }
+  const double strategies_ms = Median(catalog_ms);
+  const double legacy_median = Median(legacy_ms);
+  const double speedup = legacy_median / strategies_ms;
+  std::printf(
+      "\nstrategies phase (GM default, serial, median of %d): catalog "
+      "%.3f ms, pre-compact replica %.3f ms, %.2fx; replica agrees: %s\n",
+      kReps, strategies_ms, legacy_median, speedup, agrees ? "yes" : "NO");
+  FTA_CHECK_MSG(agrees,
+                "strategies phase diverged from the pre-compact replica");
+  FTA_CHECK_MSG(speedup >= 1.5,
+                "strategies phase must be >= 1.5x faster than the "
+                "pre-compact replica (got "
+                    << StrFormat("%.2fx", speedup) << ")");
+  json << "  \"strategies\": {\"ms\": " << StrFormat("%.4f", strategies_ms)
+       << ", \"legacy_ms\": " << StrFormat("%.4f", legacy_median)
+       << ", \"speedup\": " << StrFormat("%.3f", speedup)
+       << ", \"speedup_threshold\": 1.5, \"replica_agrees\": "
+       << (agrees ? "true" : "false") << ", \"reps\": " << kReps
        << "}\n}\n";
 
   const std::string path = "BENCH_vdps.json";

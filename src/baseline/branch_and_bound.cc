@@ -89,8 +89,8 @@ BnbResult SolveMaxTotalBnB(const Instance& instance,
   for (size_t w = 0; w < instance.num_workers(); ++w) {
     const int32_t idx = search.best_choice[w];
     if (idx != kNullStrategy) {
-      result.assignment.SetRoute(
-          w, catalog.strategies(w)[static_cast<size_t>(idx)].route);
+      result.assignment.SetRoute(w,
+                                 catalog.route(w, static_cast<size_t>(idx)));
     }
   }
   return result;

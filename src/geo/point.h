@@ -22,6 +22,11 @@ inline std::ostream& operator<<(std::ostream& os, const Point& p) {
   return os << "(" << p.x << ", " << p.y << ")";
 }
 
+/// True when both coordinates are finite (neither NaN nor infinite).
+inline bool IsFinite(const Point& p) {
+  return std::isfinite(p.x) && std::isfinite(p.y);
+}
+
 /// Squared Euclidean distance (cheap; use for comparisons).
 inline double SquaredDistance(const Point& a, const Point& b) {
   const double dx = a.x - b.x;

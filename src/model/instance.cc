@@ -29,15 +29,12 @@ Status Instance::Validate() const {
   // Non-finite coordinates or rewards would reach catalog payoffs, and a
   // NaN payoff breaks the strict weak ordering the strategy sort and the
   // best-response walk rely on.
-  const auto finite = [](const Point& p) {
-    return std::isfinite(p.x) && std::isfinite(p.y);
-  };
-  if (!finite(center_)) {
+  if (!IsFinite(center_)) {
     return Status::InvalidArgument("center has a non-finite coordinate");
   }
   for (size_t i = 0; i < delivery_points_.size(); ++i) {
     const DeliveryPoint& dp = delivery_points_[i];
-    if (!finite(dp.location())) {
+    if (!IsFinite(dp.location())) {
       return Status::InvalidArgument(StrFormat(
           "delivery point %zu has a non-finite coordinate", i));
     }
@@ -62,7 +59,7 @@ Status Instance::Validate() const {
       return Status::InvalidArgument(
           StrFormat("worker %zu has maxDP == 0", i));
     }
-    if (!finite(workers_[i].location)) {
+    if (!IsFinite(workers_[i].location)) {
       return Status::InvalidArgument(
           StrFormat("worker %zu has a non-finite location", i));
     }

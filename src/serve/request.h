@@ -38,6 +38,11 @@ enum class AdmissionCode : uint8_t {
   /// admissible tick, or a different tick arrived while a batch was still
   /// open (unsealed).
   kOutOfOrder = 4,
+  /// An event's payload is malformed: a NaN time, location, departure or
+  /// queue expiry, an infinite location, a negative or non-finite reward,
+  /// a service window that is not positive and finite, or a worker with
+  /// maxDP 0.
+  kInvalidRequest = 5,
 };
 
 const char* AdmissionCodeName(AdmissionCode code);

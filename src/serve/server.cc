@@ -1,5 +1,7 @@
 #include "serve/server.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -42,6 +44,8 @@ void PublishServe(const ServeCounters& c) {
   static obs::Counter& rejected_unknown =
       reg.GetCounter("serve/rejected_unknown");
   static obs::Counter& rejected_order = reg.GetCounter("serve/rejected_order");
+  static obs::Counter& rejected_invalid =
+      reg.GetCounter("serve/rejected_invalid");
   static obs::Counter& batches = reg.GetCounter("serve/batches");
   static obs::Counter& answered = reg.GetCounter("serve/answered");
   static obs::Counter& assignments = reg.GetCounter("serve/assignments");
@@ -52,10 +56,25 @@ void PublishServe(const ServeCounters& c) {
   rejected_shutdown.Add(c.rejected_shutdown);
   rejected_unknown.Add(c.rejected_unknown);
   rejected_order.Add(c.rejected_order);
+  rejected_invalid.Add(c.rejected_invalid);
   batches.Add(c.batches);
   answered.Add(c.answered);
   assignments.Add(c.assignments);
   rounds.Add(c.solver_rounds);
+}
+
+/// The payload rule of AdmissionCode::kInvalidRequest. Everything it
+/// rejects would otherwise reach catalog generation, where a NaN offset
+/// or payoff breaks the strict order the strategy sort needs.
+bool ValidEvent(const StreamEvent& ev) {
+  if (std::isnan(ev.time)) return false;
+  if (ev.kind == StreamEventKind::kWorkerArrival) {
+    return IsFinite(ev.worker.location) && !std::isnan(ev.departure) &&
+           ev.worker.max_delivery_points > 0;
+  }
+  return IsFinite(ev.location) && !std::isnan(ev.queue_expiry) &&
+         std::isfinite(ev.reward) && ev.reward >= 0.0 &&
+         std::isfinite(ev.service_window) && ev.service_window > 0.0;
 }
 
 }  // namespace
@@ -72,6 +91,8 @@ const char* AdmissionCodeName(AdmissionCode code) {
       return "unknown-center";
     case AdmissionCode::kOutOfOrder:
       return "out-of-order";
+    case AdmissionCode::kInvalidRequest:
+      return "invalid-request";
   }
   return "unknown";
 }
@@ -160,7 +181,13 @@ AssignmentServer::~AssignmentServer() { Drain(); }
 AdmissionCode AssignmentServer::Submit(ServeRequest request) {
   const uint32_t center = request.center;
   const bool seal = request.final_in_tick;
+  const bool valid =
+      std::all_of(request.events.begin(), request.events.end(), ValidEvent);
   MutexLock lock(&admit_mu_);
+  if (!valid) {
+    ++counters_.rejected_invalid;
+    return AdmissionCode::kInvalidRequest;
+  }
   if (draining_) {
     ++counters_.rejected_shutdown;
     return AdmissionCode::kShuttingDown;

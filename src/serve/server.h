@@ -86,6 +86,7 @@ struct ServeCounters {
   uint64_t rejected_shutdown = 0;
   uint64_t rejected_unknown = 0;
   uint64_t rejected_order = 0;
+  uint64_t rejected_invalid = 0;
   /// Sealed batches solved (== responses emitted).
   uint64_t batches = 0;
   /// Admitted requests answered through a batch (== admitted after a
@@ -121,7 +122,9 @@ class AssignmentServer {
   void set_response_callback(ResponseCallback cb) { callback_ = std::move(cb); }
 
   /// Admission control. Never blocks; every outcome other than kAdmitted
-  /// is a typed rejection that leaves no server state behind.
+  /// is a typed rejection that leaves no server state behind (beyond its
+  /// counter). The payload check (kInvalidRequest) comes first, so a
+  /// malformed request is rejected even while draining.
   AdmissionCode Submit(ServeRequest request) FTA_EXCLUDES(admit_mu_);
 
   /// Launches the runners of a start_paused server. Idempotent.

@@ -88,9 +88,12 @@ uint64_t TickEngine::DigestCatalog() const {
   for (size_t w = 0; w < catalog_.num_workers(); ++w) {
     const auto& sts = catalog_.strategies(w);
     d.Fold(static_cast<uint64_t>(sts.size()));
-    for (const WorkerStrategy& st : sts) {
+    for (size_t i = 0; i < sts.size(); ++i) {
+      const WorkerStrategy& st = sts[i];
       d.Fold(static_cast<uint64_t>(st.entry_id));
-      for (uint32_t dp : st.route) d.Fold(static_cast<uint64_t>(dp));
+      for (uint32_t dp : catalog_.route(w, i)) {
+        d.Fold(static_cast<uint64_t>(dp));
+      }
       d.Fold(st.total_time);
       d.Fold(st.total_reward);
       d.Fold(st.payoff);
@@ -98,7 +101,7 @@ uint64_t TickEngine::DigestCatalog() const {
   }
   d.Fold(static_cast<uint64_t>(catalog_.num_indexed_delivery_points()));
   for (size_t dp = 0; dp < catalog_.num_indexed_delivery_points(); ++dp) {
-    const auto& refs = catalog_.strategies_touching(static_cast<uint32_t>(dp));
+    const auto refs = catalog_.strategies_touching(static_cast<uint32_t>(dp));
     d.Fold(static_cast<uint64_t>(refs.size()));
     for (const StrategyRef& ref : refs) {
       d.Fold(static_cast<uint64_t>(ref.worker));

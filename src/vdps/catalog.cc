@@ -21,10 +21,6 @@ namespace {
 
 using vdps_internal::kMinTravelTime;
 
-/// Workers per inverted-index scan chunk (fixed partition, so the spliced
-/// output never depends on the thread count).
-constexpr size_t kWorkerChunk = 8;
-
 /// Mirrors a finished generation run into the process-wide metrics
 /// registry. Counter adds only (order-invariant across parallel centers);
 /// wall times go to histograms, whose *counts* stay deterministic.
@@ -116,25 +112,20 @@ VdpsCatalog VdpsCatalog::Generate(const Instance& instance,
 
   // Materialize per-worker strategies: a C-VDPS is valid for worker w iff
   // some retained sequence tolerates the worker's center offset, and the
-  // set respects the worker's maxDP. Workers are independent, so the build
-  // fans out per worker; each slot is written by exactly one job.
+  // set respects the worker's maxDP. The slack order is shared; workers are
+  // independent, so the build fans out per worker and each slot is written
+  // by exactly one job.
   Stopwatch strat_sw;
   const size_t num_workers = instance.num_workers();
   catalog.strategies_.resize(num_workers);
   {
     FTA_SPAN("vdps/strategies");
+    const std::vector<vdps_internal::SlackKey> by_slack =
+        vdps_internal::SlackOrder(catalog.entries_);
     const auto build_worker = [&](size_t w) {
-      const double offset = instance.WorkerToCenterTime(w);
-      const uint32_t max_dp = instance.worker(w).max_delivery_points;
-      std::vector<WorkerStrategy>& out = catalog.strategies_[w];
-      WorkerStrategy st;
-      for (uint32_t e = 0; e < catalog.entries_.size(); ++e) {
-        if (vdps_internal::MakeStrategy(catalog.entries_[e], e, offset,
-                                        max_dp, &st)) {
-          out.push_back(std::move(st));
-        }
-      }
-      std::sort(out.begin(), out.end(), vdps_internal::StrategyOrder{});
+      vdps_internal::BuildWorkerStrategies(
+          catalog.entries_, by_slack, instance.WorkerToCenterTime(w),
+          instance.worker(w).max_delivery_points, &catalog.strategies_[w]);
     };
     if (pool != nullptr && num_workers > 1) {
       pool->RunBatch(num_workers, build_worker);
@@ -142,51 +133,7 @@ VdpsCatalog VdpsCatalog::Generate(const Instance& instance,
       for (size_t w = 0; w < num_workers; ++w) build_worker(w);
     }
   }
-
-  // Delivery-point → strategies inverted index, built once against the
-  // final (sorted) strategy order. The parallel path scans fixed worker
-  // chunks into private (dp, ref) lists and splices them in chunk order —
-  // identical to the serial (worker asc, strategy asc) append order.
-  FTA_SPAN("vdps/inverted_index");
-  catalog.touching_.resize(instance.num_delivery_points());
-  struct Touch {
-    uint32_t dp;
-    StrategyRef ref;
-  };
-  const auto scan_worker = [&](uint32_t w, std::vector<Touch>& out) {
-    const auto& strategies = catalog.strategies_[w];
-    for (size_t i = 0; i < strategies.size(); ++i) {
-      const CVdpsEntry& entry = catalog.entries_[strategies[i].entry_id];
-      for (uint32_t dp : entry.dps) {
-        out.push_back(Touch{dp, StrategyRef{w, static_cast<int32_t>(i)}});
-      }
-    }
-  };
-  if (pool != nullptr && num_workers > 1) {
-    std::vector<std::vector<Touch>> chunk_out(
-        ThreadPool::NumChunks(num_workers, kWorkerChunk));
-    pool->RunChunked(num_workers, kWorkerChunk,
-                     [&](size_t chunk, size_t begin, size_t end) {
-                       for (size_t w = begin; w < end; ++w) {
-                         scan_worker(static_cast<uint32_t>(w),
-                                     chunk_out[chunk]);
-                       }
-                     });
-    for (const auto& out : chunk_out) {
-      for (const Touch& t : out) {
-        catalog.touching_[t.dp].push_back(t.ref);
-      }
-    }
-  } else {
-    std::vector<Touch> out;
-    for (uint32_t w = 0; w < num_workers; ++w) {
-      out.clear();
-      scan_worker(w, out);
-      for (const Touch& t : out) {
-        catalog.touching_[t.dp].push_back(t.ref);
-      }
-    }
-  }
+  catalog.RebuildIndex(instance.num_delivery_points());
   catalog.gen_.strategies_ms = strat_sw.ElapsedMillis();
   for (const auto& s : catalog.strategies_) {
     catalog.gen_.strategies += s.size();
@@ -312,9 +259,10 @@ Status VdpsCatalog::ValidateInvariants(const Instance& instance) const {
             w, i));
       }
       const SequenceOption* opt = entry.BestOptionFor(offset);
-      if (opt == nullptr || opt->route != st.route) {
+      if (opt == nullptr || st.option >= entry.options.size() ||
+          &entry.options[st.option] != opt) {
         return Status::Internal(StrFormat(
-            "worker %zu strategy %zu route differs from BestOptionFor", w,
+            "worker %zu strategy %zu option differs from BestOptionFor", w,
             i));
       }
       if (st.total_time != offset + opt->center_time ||
@@ -352,10 +300,13 @@ Status VdpsCatalog::ValidateInvariants(const Instance& instance) const {
   // Reconstruct the inverted index independently; the build order (worker
   // asc, strategy asc) is part of the contract BestResponseEngine::Mark
   // relies on.
-  if (touching_.size() != instance.num_delivery_points()) {
+  const size_t num_dps = num_indexed_delivery_points();
+  if (num_dps != instance.num_delivery_points() ||
+      touching_offsets_.size() != num_dps + 1 ||
+      touching_offsets_.back() != touching_refs_.size()) {
     return Status::Internal("inverted index sized off the instance");
   }
-  std::vector<std::vector<StrategyRef>> expected(touching_.size());
+  std::vector<std::vector<StrategyRef>> expected(num_dps);
   for (uint32_t w = 0; w < strategies_.size(); ++w) {
     for (size_t i = 0; i < strategies_[w].size(); ++i) {
       for (uint32_t dp : entries_[strategies_[w][i].entry_id].dps) {
@@ -363,17 +314,19 @@ Status VdpsCatalog::ValidateInvariants(const Instance& instance) const {
       }
     }
   }
-  for (size_t dp = 0; dp < touching_.size(); ++dp) {
-    if (touching_[dp].size() != expected[dp].size()) {
+  for (uint32_t dp = 0; dp < num_dps; ++dp) {
+    const std::span<const StrategyRef> refs = strategies_touching(dp);
+    if (touching_offsets_[dp] > touching_offsets_[dp + 1] ||
+        refs.size() != expected[dp].size()) {
       return Status::Internal(StrFormat(
-          "inverted index at dp %zu has %zu refs, expected %zu", dp,
-          touching_[dp].size(), expected[dp].size()));
+          "inverted index at dp %u has %zu refs, expected %zu", dp,
+          refs.size(), expected[dp].size()));
     }
     for (size_t i = 0; i < expected[dp].size(); ++i) {
-      if (touching_[dp][i].worker != expected[dp][i].worker ||
-          touching_[dp][i].strategy != expected[dp][i].strategy) {
+      if (refs[i].worker != expected[dp][i].worker ||
+          refs[i].strategy != expected[dp][i].strategy) {
         return Status::Internal(StrFormat(
-            "inverted index mismatch at dp %zu position %zu", dp, i));
+            "inverted index mismatch at dp %u position %zu", dp, i));
       }
     }
   }
@@ -419,6 +372,77 @@ void VdpsCatalog::RebuildStrategyPayoffs() {
     }
   }
 }
+
+void VdpsCatalog::RebuildIndex(size_t num_dps) {
+  FTA_SPAN("vdps/inverted_index");
+  // Counting pass (strategies per entry, then per delivery point), prefix
+  // sum, then a fill pass in (worker asc, strategy asc) order — the order
+  // BestResponseEngine::Mark relies on.
+  std::vector<size_t> per_entry(entries_.size(), 0);
+  for (const std::vector<WorkerStrategy>& sts : strategies_) {
+    for (const WorkerStrategy& st : sts) ++per_entry[st.entry_id];
+  }
+  touching_offsets_.assign(num_dps + 1, 0);
+  for (size_t e = 0; e < entries_.size(); ++e) {
+    for (uint32_t dp : entries_[e].dps) {
+      touching_offsets_[dp + 1] += per_entry[e];
+    }
+  }
+  for (size_t dp = 0; dp < num_dps; ++dp) {
+    touching_offsets_[dp + 1] += touching_offsets_[dp];
+  }
+  touching_refs_.resize(touching_offsets_.back());
+  std::vector<size_t> cursor(touching_offsets_.begin(),
+                             touching_offsets_.end() - 1);
+  for (uint32_t w = 0; w < strategies_.size(); ++w) {
+    const std::vector<WorkerStrategy>& sts = strategies_[w];
+    for (size_t i = 0; i < sts.size(); ++i) {
+      for (uint32_t dp : entries_[sts[i].entry_id].dps) {
+        touching_refs_[cursor[dp]++] =
+            StrategyRef{w, static_cast<int32_t>(i)};
+      }
+    }
+  }
+}
+
+namespace vdps_internal {
+
+std::vector<SlackKey> SlackOrder(const std::vector<CVdpsEntry>& entries) {
+  std::vector<SlackKey> keys(entries.size());
+  for (uint32_t e = 0; e < entries.size(); ++e) {
+    const double slack = entries[e].options.back().slack;
+    keys[e] = SlackKey{std::isnan(slack) ? kInfinity : slack, e};
+  }
+  std::sort(keys.begin(), keys.end(),
+            [](const SlackKey& a, const SlackKey& b) {
+              if (a.slack != b.slack) return a.slack > b.slack;
+              return a.entry_id < b.entry_id;
+            });
+  return keys;
+}
+
+void BuildWorkerStrategies(const std::vector<CVdpsEntry>& entries,
+                           const std::vector<SlackKey>& by_slack,
+                           double offset, uint32_t max_dp,
+                           std::vector<WorkerStrategy>* out) {
+  // BestOptionFor's predicate on the entry's last option: once it rejects
+  // an entry, it rejects every later (less slack) entry too.
+  const auto end = std::partition_point(
+      by_slack.begin(), by_slack.end(),
+      [offset](const SlackKey& key) { return !(key.slack + kEps < offset); });
+  out->clear();
+  out->reserve(static_cast<size_t>(end - by_slack.begin()));
+  WorkerStrategy st;
+  for (auto it = by_slack.begin(); it != end; ++it) {
+    if (MakeStrategy(entries[it->entry_id], it->entry_id, offset, max_dp,
+                     &st)) {
+      out->push_back(st);
+    }
+  }
+  std::sort(out->begin(), out->end(), StrategyOrder{});
+}
+
+}  // namespace vdps_internal
 
 std::string VdpsCatalog::Summary() const {
   size_t total = 0;

@@ -224,13 +224,15 @@ struct DeltaCounters {
 
 /// One strategy of a worker in the FTA game: a VDPS (catalog entry) plus
 /// the concrete sequence and payoff for that worker. The null strategy is
-/// represented implicitly (see StrategySpace).
+/// represented implicitly (see StrategySpace). The sequence is not copied:
+/// `option` names it inside the entry's Pareto frontier, and
+/// VdpsCatalog::route() resolves it.
 struct WorkerStrategy {
   /// Index into VdpsCatalog::entries().
   uint32_t entry_id = 0;
-  /// The sequence the worker would follow (chosen from the entry's Pareto
-  /// frontier as the fastest one admitting the worker's offset).
-  Route route;
+  /// Index into entries()[entry_id].options of the sequence the worker
+  /// would follow: the fastest one admitting the worker's offset.
+  uint32_t option = 0;
   /// Worker travel time from its location through the full route.
   double total_time = 0.0;
   double total_reward = 0.0;
@@ -294,6 +296,12 @@ class VdpsCatalog {
   }
   size_t num_workers() const { return strategies_.size(); }
 
+  /// The sequence worker `worker` follows under strategies(worker)[i].
+  const Route& route(size_t worker, size_t i) const {
+    const WorkerStrategy& st = strategies_[worker][i];
+    return entries_[st.entry_id].options[st.option].route;
+  }
+
   /// Contiguous copy of strategies(worker_id)[i].payoff (same order, same
   /// bits), which the BestResponseEngine's walk reads instead of striding
   /// through WorkerStrategy structs. Rebuilt whenever
@@ -310,12 +318,17 @@ class VdpsCatalog {
   /// Every strategy (across all workers) whose VDPS contains delivery point
   /// `dp` — the delivery-point → strategies inverted index that lets the
   /// BestResponseEngine invalidate only the availability cache entries a
-  /// strategy switch can actually affect.
-  const std::vector<StrategyRef>& strategies_touching(uint32_t dp) const {
-    return touching_[dp];
+  /// strategy switch can actually affect. Refs are in (worker asc,
+  /// strategy asc) order.
+  std::span<const StrategyRef> strategies_touching(uint32_t dp) const {
+    return std::span<const StrategyRef>(touching_refs_)
+        .subspan(touching_offsets_[dp],
+                 touching_offsets_[dp + 1] - touching_offsets_[dp]);
   }
   /// Number of delivery points the inverted index covers.
-  size_t num_indexed_delivery_points() const { return touching_.size(); }
+  size_t num_indexed_delivery_points() const {
+    return touching_offsets_.empty() ? 0 : touching_offsets_.size() - 1;
+  }
 
   /// True if generation hit the max_entries cap (results may be partial).
   bool truncated() const { return truncated_; }
@@ -346,7 +359,7 @@ class VdpsCatalog {
   /// Deep self-check (FTA_VALIDATE contract, run once at the end of
   /// Generate): every entry passes ValidateCVdpsEntry, per-worker
   /// strategies are payoff-sorted, reference existing entries, respect
-  /// maxDP, carry the route/total_time/payoff that BestOptionFor would
+  /// maxDP, carry the option/total_time/payoff that BestOptionFor would
   /// materialize today, and the delivery-point → strategies inverted index
   /// matches an independent reconstruction element-for-element.
   Status ValidateInvariants(const Instance& instance) const;
@@ -358,12 +371,19 @@ class VdpsCatalog {
   /// Recomputes strategy_payoffs_ from strategies_ (O(total strategies));
   /// called by Generate and ApplyDelta after strategies settle.
   void RebuildStrategyPayoffs();
+  /// Rebuilds the inverted index over `num_dps` delivery points from
+  /// strategies_, in (worker asc, strategy asc) order; called by Generate
+  /// and ApplyDelta after strategies settle.
+  void RebuildIndex(size_t num_dps);
 
   std::vector<CVdpsEntry> entries_;
   std::vector<std::vector<WorkerStrategy>> strategies_;
   /// strategy_payoffs_[w][i] == strategies_[w][i].payoff, bit for bit.
   std::vector<std::vector<double>> strategy_payoffs_;
-  std::vector<std::vector<StrategyRef>> touching_;  // per delivery point
+  /// Inverted index in CSR form: the refs of delivery point dp are
+  /// touching_refs_[touching_offsets_[dp], touching_offsets_[dp + 1]).
+  std::vector<size_t> touching_offsets_;
+  std::vector<StrategyRef> touching_refs_;
   GenerationCounters gen_;
   VdpsConfig config_;
   RadiusAdjacency adjacency_;

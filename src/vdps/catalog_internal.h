@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "vdps/catalog.h"
 
@@ -51,12 +52,36 @@ inline bool MakeStrategy(const CVdpsEntry& entry, uint32_t entry_id,
   const SequenceOption* opt = entry.BestOptionFor(offset);
   if (opt == nullptr) return false;
   out->entry_id = entry_id;
-  out->route = opt->route;
+  out->option = static_cast<uint32_t>(opt - entry.options.data());
   out->total_time = offset + opt->center_time;
   out->total_reward = entry.total_reward;
   out->payoff = entry.total_reward / std::max(out->total_time, kMinTravelTime);
   return true;
 }
+
+/// One catalog entry keyed by its most slack-tolerant option's slack
+/// (options.back(), the frontier being slack-ascending).
+struct SlackKey {
+  double slack = 0.0;
+  uint32_t entry_id = 0;
+};
+
+/// Every entry of `entries` ordered by SlackKey::slack descending (NaN
+/// ranks as +inf, where BestOptionFor never rejects it). An entry is
+/// admissible for offset o iff !(slack + kEps < o) — BestOptionFor's own
+/// predicate on its last option — so the admissible entries of any offset
+/// form a prefix of this order.
+std::vector<SlackKey> SlackOrder(const std::vector<CVdpsEntry>& entries);
+
+/// Materializes one worker's strategy list into `out` (cleared first):
+/// walks the admissible prefix of `by_slack`, skips entries larger than
+/// `max_dp`, and sorts by StrategyOrder. Because StrategyOrder is a strict
+/// total order, the list equals MakeStrategy over every entry followed by
+/// a sort — Generate and ApplyDelta both build through here.
+void BuildWorkerStrategies(const std::vector<CVdpsEntry>& entries,
+                           const std::vector<SlackKey>& by_slack,
+                           double offset, uint32_t max_dp,
+                           std::vector<WorkerStrategy>* out);
 
 }  // namespace vdps_internal
 }  // namespace fta

@@ -167,7 +167,7 @@ Status VdpsCatalog::ApplyDelta(const Instance& new_instance,
         "truncation point is enumeration-path-dependent");
   }
   const size_t old_workers = strategies_.size();
-  const size_t old_dps = touching_.size();
+  const size_t old_dps = num_indexed_delivery_points();
   if (!std::isinf(config_.epsilon) && old_dps > 0 &&
       adjacency_.num_points() != old_dps) {
     return Status::FailedPrecondition(
@@ -234,7 +234,8 @@ Status VdpsCatalog::ApplyDelta(const Instance& new_instance,
 
   // ---- 2. Worker removal + strategy filter under the entry renumber.
   // Payoffs are untouched and entry ids remap monotonically, so each
-  // surviving list stays sorted by (payoff desc, entry asc). ----
+  // surviving list stays sorted by (payoff desc, entry asc). Option
+  // indices (and the option routes remapped in step 1) are untouched. ----
   {
     size_t out = 0;
     for (size_t w = 0; w < strategies_.size(); ++w) {
@@ -246,7 +247,6 @@ Status VdpsCatalog::ApplyDelta(const Instance& new_instance,
         if (entry_map[sts[i].entry_id] == kRemovedId) continue;
         if (kept != i) sts[kept] = std::move(sts[i]);
         sts[kept].entry_id = entry_map[sts[kept].entry_id];
-        if (!plan.removed_dps.empty()) RemapIds(sts[kept].route, dp_map);
         ++kept;
       }
       sts.resize(kept);
@@ -420,9 +420,9 @@ Status VdpsCatalog::ApplyDelta(const Instance& new_instance,
 
   // ---- 6. Strategy patch: remap surviving strategies to final entry ids
   // (monotone again), evaluate only the fresh entries for surviving
-  // workers, build added workers from scratch, and merge per worker under
-  // the shared StrategyOrder — a strict total order, so the merge equals
-  // Generate's full std::sort. ----
+  // workers and merge per worker under the shared StrategyOrder — a strict
+  // total order, so the merge equals Generate's full std::sort — and build
+  // added workers with BuildWorkerStrategies, as Generate does. ----
   Stopwatch strat_sw;
   {
     FTA_SPAN("vdps/delta_strategies");
@@ -440,7 +440,7 @@ Status VdpsCatalog::ApplyDelta(const Instance& new_instance,
       for (uint32_t final_id : final_of_fresh) {
         if (vdps_internal::MakeStrategy(entries_[final_id], final_id, offset,
                                         max_dp, &st)) {
-          additions.push_back(std::move(st));
+          additions.push_back(st);
         }
       }
       std::sort(additions.begin(), additions.end(),
@@ -452,18 +452,14 @@ Status VdpsCatalog::ApplyDelta(const Instance& new_instance,
                          sts.end(), vdps_internal::StrategyOrder{});
     }
     strategies_.resize(surviving_workers + plan.added_workers);
-    for (size_t w = surviving_workers; w < strategies_.size(); ++w) {
-      const double offset = new_instance.WorkerToCenterTime(w);
-      const uint32_t max_dp = new_instance.worker(w).max_delivery_points;
-      std::vector<WorkerStrategy>& out = strategies_[w];
-      WorkerStrategy st;
-      for (uint32_t e = 0; e < entries_.size(); ++e) {
-        if (vdps_internal::MakeStrategy(entries_[e], e, offset, max_dp,
-                                        &st)) {
-          out.push_back(std::move(st));
-        }
+    if (plan.added_workers > 0) {
+      const std::vector<vdps_internal::SlackKey> by_slack =
+          vdps_internal::SlackOrder(entries_);
+      for (size_t w = surviving_workers; w < strategies_.size(); ++w) {
+        vdps_internal::BuildWorkerStrategies(
+            entries_, by_slack, new_instance.WorkerToCenterTime(w),
+            new_instance.worker(w).max_delivery_points, &strategies_[w]);
       }
-      std::sort(out.begin(), out.end(), vdps_internal::StrategyOrder{});
     }
   }
   d.strategies_ms = strat_sw.ElapsedMillis();
@@ -471,22 +467,11 @@ Status VdpsCatalog::ApplyDelta(const Instance& new_instance,
   for (const auto& sts : strategies_) total_strategies += sts.size();
   d.strategies_added = total_strategies - kept_strategies;
 
-  // ---- 7. Inverted index rebuild: the serial (worker asc, strategy asc)
-  // append order of Generate, over the patched strategy lists. Linear in
-  // the index size — cheap next to enumeration, and exactly the build
-  // order BestResponseEngine::Mark relies on. ----
+  // ---- 7. Inverted index rebuild (RebuildIndex, shared with Generate),
+  // over the patched strategy lists. Linear in the index size — cheap next
+  // to enumeration. ----
   Stopwatch index_sw;
-  {
-    FTA_SPAN("vdps/delta_index");
-    touching_.assign(new_dps, {});
-    for (uint32_t w = 0; w < strategies_.size(); ++w) {
-      for (size_t i = 0; i < strategies_[w].size(); ++i) {
-        for (uint32_t dp : entries_[strategies_[w][i].entry_id].dps) {
-          touching_[dp].push_back(StrategyRef{w, static_cast<int32_t>(i)});
-        }
-      }
-    }
-  }
+  RebuildIndex(new_dps);
   d.index_ms = index_sw.ElapsedMillis();
 
   RebuildStrategyPayoffs();

@@ -2,7 +2,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -113,6 +116,103 @@ TEST(ServeLifecycleTest, TypedRejections) {
   EXPECT_EQ(server.counters().rejected_order, 3u);
   EXPECT_EQ(server.counters().rejected_shutdown, 1u);
   EXPECT_EQ(server.counters().answered, 3u);
+}
+
+// Payload validation at admission: one malformed field per request, each
+// rejected as kInvalidRequest before it can reach the catalog; a valid
+// request afterwards is still admitted, and the rejections leave the
+// per-center tick protocol untouched.
+class InvalidPayloadTest
+    : public ::testing::TestWithParam<
+          std::pair<const char*, void (*)(ServeRequest&)>> {};
+
+TEST_P(InvalidPayloadTest, RejectedAsInvalidRequest) {
+  ThreadPool pool(2);
+  AssignmentServer server(TinyServer(16, true), TwoCenters(), &pool);
+  ServeRequest bad = TaskRequest(0, 0, true);
+  GetParam().second(bad);
+  EXPECT_EQ(server.Submit(bad), AdmissionCode::kInvalidRequest);
+  EXPECT_EQ(server.Submit(TaskRequest(0, 0, true)), AdmissionCode::kAdmitted);
+  server.Drain();
+  EXPECT_EQ(server.counters().rejected_invalid, 1u);
+  EXPECT_EQ(server.counters().admitted, 1u);
+  EXPECT_EQ(server.counters().answered, 1u);
+  EXPECT_STREQ(AdmissionCodeName(AdmissionCode::kInvalidRequest),
+               "invalid-request");
+}
+
+// TaskRequest's events are {worker, task}.
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+INSTANTIATE_TEST_SUITE_P(
+    Fields, InvalidPayloadTest,
+    ::testing::Values(
+        std::make_pair("WorkerTimeNaN",
+                       +[](ServeRequest& r) { r.events[0].time = kNaN; }),
+        std::make_pair("TaskTimeNaN",
+                       +[](ServeRequest& r) { r.events[1].time = kNaN; }),
+        std::make_pair("WorkerLocationNaN",
+                       +[](ServeRequest& r) {
+                         r.events[0].worker.location.x = kNaN;
+                       }),
+        std::make_pair("WorkerLocationInfinite",
+                       +[](ServeRequest& r) {
+                         r.events[0].worker.location.y = kInfinity;
+                       }),
+        std::make_pair("TaskLocationNaN",
+                       +[](ServeRequest& r) { r.events[1].location.y = kNaN; }),
+        std::make_pair("TaskLocationInfinite",
+                       +[](ServeRequest& r) {
+                         r.events[1].location.x = -kInfinity;
+                       }),
+        std::make_pair("DepartureNaN",
+                       +[](ServeRequest& r) { r.events[0].departure = kNaN; }),
+        std::make_pair("QueueExpiryNaN",
+                       +[](ServeRequest& r) {
+                         r.events[1].queue_expiry = kNaN;
+                       }),
+        std::make_pair("RewardNegative",
+                       +[](ServeRequest& r) { r.events[1].reward = -0.5; }),
+        std::make_pair("RewardNaN",
+                       +[](ServeRequest& r) { r.events[1].reward = kNaN; }),
+        std::make_pair("RewardInfinite",
+                       +[](ServeRequest& r) {
+                         r.events[1].reward = kInfinity;
+                       }),
+        std::make_pair("ServiceWindowZero",
+                       +[](ServeRequest& r) {
+                         r.events[1].service_window = 0.0;
+                       }),
+        std::make_pair("ServiceWindowNegative",
+                       +[](ServeRequest& r) {
+                         r.events[1].service_window = -1.0;
+                       }),
+        std::make_pair("ServiceWindowInfinite",
+                       +[](ServeRequest& r) {
+                         r.events[1].service_window = kInfinity;
+                       }),
+        std::make_pair("ServiceWindowNaN",
+                       +[](ServeRequest& r) {
+                         r.events[1].service_window = kNaN;
+                       }),
+        std::make_pair("WorkerMaxDpZero",
+                       +[](ServeRequest& r) {
+                         r.events[0].worker.max_delivery_points = 0;
+                       })),
+    [](const auto& field) { return std::string(field.param.first); });
+
+// The boundary values the rule keeps: a zero reward, an infinite departure
+// and queue expiry (the "stays forever" defaults).
+TEST(ServeLifecycleTest, BoundaryPayloadsAreAdmitted) {
+  ThreadPool pool(2);
+  AssignmentServer server(TinyServer(16, true), TwoCenters(), &pool);
+  ServeRequest req = TaskRequest(0, 0, true);
+  req.events[1].reward = 0.0;
+  req.events[0].departure = kInfinity;
+  req.events[1].queue_expiry = kInfinity;
+  EXPECT_EQ(server.Submit(req), AdmissionCode::kAdmitted);
+  server.Drain();
+  EXPECT_EQ(server.counters().rejected_invalid, 0u);
+  EXPECT_EQ(server.counters().answered, 1u);
 }
 
 TEST(ServeLifecycleTest, CallbackSeesEveryBatchInShardOrder) {

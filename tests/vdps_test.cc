@@ -314,8 +314,8 @@ TEST(BeamTest, PlumbedThroughCatalogGenerate) {
   EXPECT_GT(catalog.num_entries(), 0u);
   // Strategies still verify against the instance.
   for (size_t w = 0; w < catalog.num_workers(); ++w) {
-    for (const WorkerStrategy& st : catalog.strategies(w)) {
-      EXPECT_TRUE(EvaluateRoute(inst, w, st.route).feasible);
+    for (size_t i = 0; i < catalog.strategies(w).size(); ++i) {
+      EXPECT_TRUE(EvaluateRoute(inst, w, catalog.route(w, i)).feasible);
     }
   }
 }
@@ -350,8 +350,9 @@ TEST(CatalogTest, StrategyRoutesAreFeasibleForWorker) {
   const Instance inst = RandomInstance(52, 9, 5);
   const VdpsCatalog catalog = VdpsCatalog::Generate(inst, VdpsConfig{});
   for (size_t w = 0; w < catalog.num_workers(); ++w) {
-    for (const WorkerStrategy& st : catalog.strategies(w)) {
-      const RouteEvaluation eval = EvaluateRoute(inst, w, st.route);
+    for (size_t i = 0; i < catalog.strategies(w).size(); ++i) {
+      const WorkerStrategy& st = catalog.strategies(w)[i];
+      const RouteEvaluation eval = EvaluateRoute(inst, w, catalog.route(w, i));
       EXPECT_TRUE(eval.feasible)
           << "worker " << w << " route infeasible";
       EXPECT_NEAR(eval.total_time, st.total_time, 1e-9);

@@ -51,6 +51,7 @@ TRACKED = [
     ("obs", "stream_telemetry.ontick_ns", "lower"),
     ("game", "walk.ns_per_evaluate", "lower"),
     ("game", "walk_speedup", "higher"),
+    ("vdps", "strategies.speedup", "higher"),
     ("stream", "warm_cold_ratio", "lower"),
     ("serve", "serve8.throughput_assignments_per_s", "higher"),
     ("serve", "serve8.p99_latency_ms", "lower"),

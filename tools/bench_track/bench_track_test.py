@@ -47,6 +47,14 @@ def legacy_game_bench(sha, ns_per_evaluate=200.0, speedup=6.0):
     }
 
 
+def vdps_bench(sha, speedup=2.0):
+    return {
+        "bench": "vdps", "meta": meta(sha),
+        "strategies": {"ms": 0.2, "legacy_ms": 0.2 * speedup,
+                       "speedup": speedup, "replica_agrees": True},
+    }
+
+
 def serve_bench(sha, throughput=33000.0, p99=60.0):
     return {
         "bench": "serve", "meta": meta(sha),
@@ -67,7 +75,7 @@ class BenchTrackTest(unittest.TestCase):
 
     def write_benches(self, sha, **overrides):
         docs = {"obs": obs_bench(sha), "game": game_bench(sha),
-                "serve": serve_bench(sha)}
+                "vdps": vdps_bench(sha), "serve": serve_bench(sha)}
         for stem, patch in overrides.items():
             docs[stem] = patch
         for stem, doc in docs.items():
@@ -96,10 +104,11 @@ class BenchTrackTest(unittest.TestCase):
             self.assertEqual(entry["cpu"], "test-cpu")
             self.assertEqual(entry["build"], "release")
             self.assertEqual(sorted(entry["benches"]),
-                             ["game", "obs", "serve"])
-        # Every tracked obs/game/serve metric is resolvable in every entry.
+                             ["game", "obs", "serve", "vdps"])
+        # Every tracked obs/game/vdps/serve metric is resolvable in every
+        # entry.
         for bench, path, _ in bench_track.TRACKED:
-            if bench in ("obs", "game", "serve"):
+            if bench in ("obs", "game", "vdps", "serve"):
                 for entry in entries:
                     self.assertIsNotNone(
                         bench_track.lookup(entry["benches"][bench], path),
@@ -149,6 +158,14 @@ class BenchTrackTest(unittest.TestCase):
             self.assertEqual(self.collect(sha), 0)
         self.write_benches("s4", game=game_bench("s4", speedup=3.0))
         self.assertEqual(self.check(), 1)
+
+    def test_check_flags_vdps_strategies_speedup_drop(self):
+        for sha in ("s1", "s2", "s3"):
+            self.assertEqual(self.collect(sha), 0)
+        self.write_benches("s4", vdps=vdps_bench("s4", speedup=1.4))
+        self.assertEqual(self.check(), 1)
+        self.write_benches("s4", vdps=vdps_bench("s4", speedup=1.9))
+        self.assertEqual(self.check(), 0)
 
     def test_check_flags_serve_throughput_drop(self):
         for sha in ("s1", "s2", "s3"):
